@@ -103,7 +103,7 @@ pub fn service_gate(active: bool) -> ServiceGate {
 /// when at least one bit is set, none otherwise — the property that keeps
 /// client request streams replayable as the mask evolves.
 pub fn pick_live(mask: u128, pool_len: usize, rng: &mut DetRng) -> Option<usize> {
-    let pool_len = pool_len.min(128);
+    let pool_len = pool_len.min(MAX_POOL);
     let live = (0..pool_len).filter(|i| mask >> i & 1 == 1).count();
     if live == 0 {
         return None;
@@ -273,9 +273,14 @@ impl ControlConfig {
     }
 }
 
-/// One schedulable service: a fixed address pool (≤ 128 endpoints so
-/// liveness fits the wire mask), the co-located agents, each endpoint's
-/// rack (for placement spread), and the initially active pool indices.
+/// The most endpoints one service pool can hold: liveness travels as a
+/// 128-bit wire mask.
+pub const MAX_POOL: usize = 128;
+
+/// One schedulable service: a fixed address pool (≤ [`MAX_POOL`]
+/// endpoints so liveness fits the wire mask), the co-located agents,
+/// each endpoint's rack (for placement spread), and the initially active
+/// pool indices.
 #[derive(Debug, Clone)]
 pub struct ServiceSpec {
     /// Service id (what clients put in [`KIND_LOOKUP`]).
@@ -443,7 +448,7 @@ impl ControlPlane {
         let states = services
             .into_iter()
             .map(|spec| {
-                assert!(spec.pool.len() <= 128, "service pool exceeds the 128-bit wire mask");
+                assert!(spec.pool.len() <= MAX_POOL, "service pool exceeds the 128-bit wire mask");
                 assert_eq!(spec.agents.len(), spec.pool.len(), "one agent per pool entry");
                 assert_eq!(spec.racks.len(), spec.pool.len(), "one rack per pool entry");
                 assert!(

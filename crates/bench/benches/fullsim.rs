@@ -3,7 +3,7 @@
 //! scales with node count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use diablo_core::{run_memcached, McExperimentConfig};
+use diablo_core::{run, McExperimentConfig};
 use diablo_stack::process::Proto;
 use std::hint::black_box;
 
@@ -15,7 +15,7 @@ fn bench_full_memcached(c: &mut Criterion) {
             b.iter(|| {
                 let mut cfg = McExperimentConfig::mini(racks, 20);
                 cfg.proto = Proto::Udp;
-                let r = run_memcached(&cfg);
+                let r = run(&cfg);
                 black_box(r.events)
             })
         });
@@ -30,7 +30,7 @@ fn bench_full_incast(c: &mut Criterion) {
         b.iter(|| {
             let mut cfg = diablo_core::IncastConfig::fig6a(8);
             cfg.iterations = 3;
-            let r = diablo_core::run_incast(&cfg);
+            let r = diablo_core::run(&cfg);
             black_box(r.events)
         })
     });

@@ -4,7 +4,7 @@
 
 use diablo_bench::{banner, results_dir, Args};
 use diablo_core::report::{fmt_f, Table};
-use diablo_core::{run_incast, IncastConfig, SwitchTemplate};
+use diablo_core::{run, IncastConfig, SwitchTemplate};
 use diablo_net::switch::BufferConfig;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
             let mut cfg = IncastConfig::fig6a(servers);
             cfg.iterations = iterations;
             cfg.switch = Some(SwitchTemplate { buffer, ..SwitchTemplate::gbe_shallow() });
-            let r = run_incast(&cfg);
+            let r = run(&cfg).summary;
             let org = if shared { "shared pool" } else { "per-port" };
             t.row(vec![
                 org.into(),

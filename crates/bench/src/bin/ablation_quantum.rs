@@ -4,7 +4,7 @@
 
 use diablo_bench::{banner, results_dir, Args};
 use diablo_core::report::{fmt_f, Table};
-use diablo_core::{run_memcached, McExperimentConfig, RunMode};
+use diablo_core::{run, McExperimentConfig, RunMode};
 use diablo_engine::time::SimDuration;
 use diablo_stack::process::Proto;
 
@@ -20,13 +20,13 @@ fn main() {
     let serial = {
         let mut cfg = base.clone();
         cfg.mode = RunMode::Serial;
-        run_memcached(&cfg)
+        run(&cfg)
     };
     println!(
         "serial: {} events, wall {:.3}s, p99 {:.1}us",
         serial.events,
         serial.wall.as_secs_f64(),
-        serial.latency.quantile(0.99) as f64 / 1e3
+        serial.summary.latency.quantile(0.99) as f64 / 1e3
     );
 
     let mut t = Table::new(vec!["mode", "quantum_ns", "events", "wall_s", "identical"]);
@@ -48,10 +48,10 @@ fn main() {
                 quantum: Some(SimDuration::from_nanos(quantum_ns)),
                 workers: None,
             };
-            let r = run_memcached(&cfg);
+            let r = run(&cfg);
             let identical = r.events == serial.events
-                && r.latency.quantile(0.99) == serial.latency.quantile(0.99)
-                && r.served == serial.served;
+                && r.summary.latency.quantile(0.99) == serial.summary.latency.quantile(0.99)
+                && r.summary.served == serial.summary.served;
             assert!(identical, "parallel run diverged from serial!");
             t.row(vec![
                 format!("parallel x{partitions}"),

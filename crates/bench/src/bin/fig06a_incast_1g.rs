@@ -13,7 +13,7 @@ use diablo_baseline::analytic::incast_goodput_analytic;
 use diablo_baseline::run_baseline_incast;
 use diablo_bench::{banner, results_dir, Args};
 use diablo_core::report::{fmt_f, Table};
-use diablo_core::{run_incast, IncastConfig};
+use diablo_core::{run, IncastConfig};
 use diablo_net::link::LinkParams;
 use diablo_net::switch::SwitchConfig;
 
@@ -34,7 +34,7 @@ fn main() {
         let mut cfg = IncastConfig::fig6a(n);
         cfg.iterations = iterations;
         cfg.block_bytes = block;
-        let diablo = run_incast(&cfg);
+        let diablo = run(&cfg);
 
         let sw = SwitchConfig::shallow_gbe("tor", (n + 2) as u16);
         let ns2 = run_baseline_incast(n, iterations, block as u64, sw, LinkParams::gbe(500));
@@ -44,14 +44,14 @@ fn main() {
 
         t.row(vec![
             n.to_string(),
-            fmt_f(diablo.goodput_mbps, 1),
+            fmt_f(diablo.summary.goodput_mbps, 1),
             fmt_f(ns2, 1),
             fmt_f(analytic, 1),
-            diablo.switch_drops.to_string(),
+            diablo.summary.switch_drops.to_string(),
         ]);
         println!(
             "n={n:>2}  diablo={:>7.1} Mbps  ns2like={:>7.1} Mbps  analytic={:>7.1} Mbps",
-            diablo.goodput_mbps, ns2, analytic
+            diablo.summary.goodput_mbps, ns2, analytic
         );
     }
     println!();

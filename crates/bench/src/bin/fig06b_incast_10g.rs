@@ -8,7 +8,7 @@
 
 use diablo_bench::{banner, results_dir, Args};
 use diablo_core::report::{fmt_f, Table};
-use diablo_core::{run_incast, IncastClientKind, IncastConfig, SwitchTemplate};
+use diablo_core::{run, IncastClientKind, IncastConfig, SwitchTemplate};
 use diablo_net::switch::BufferConfig;
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
             let mut sw = SwitchTemplate::ten_gbe_fast();
             sw.buffer = BufferConfig::PerPort { bytes_per_port: buffer_kb * 1024 };
             cfg.switch = Some(sw);
-            let r = run_incast(&cfg);
+            let r = run(&cfg).summary;
             row.push(fmt_f(r.goodput_mbps, 1));
             printed.push_str(&format!(" {name}={:>8.1}", r.goodput_mbps));
         }

@@ -8,7 +8,7 @@
 
 use diablo_bench::{banner, results_dir, Args};
 use diablo_core::report::{fmt_f, Table};
-use diablo_core::{run_memcached, McExperimentConfig};
+use diablo_core::{run, McExperimentConfig};
 use diablo_stack::process::Proto;
 
 fn run_point(clients: usize, workers: usize, requests: u64, seed: u64) -> (f64, f64) {
@@ -21,7 +21,7 @@ fn run_point(clients: usize, workers: usize, requests: u64, seed: u64) -> (f64, 
     // Heavier per-request service cost so saturation appears within the
     // paper's 1..14-client sweep (~15 us of application logic at 4 GHz).
     cfg.request_work = 60_000;
-    let r = run_memcached(&cfg);
+    let r = run(&cfg).summary;
     let ops_per_sec = r.served as f64 / r.completed_at.as_secs_f64().max(1e-9);
     let mean_us = r.latency.mean() / 1_000.0;
     (ops_per_sec, mean_us)

@@ -7,7 +7,7 @@
 use diablo_apps::memcached::McVersion;
 use diablo_bench::{banner, results_dir, Args};
 use diablo_core::report::{percentiles_us, tail_cdf_us, Table};
-use diablo_core::{run_memcached, McExperimentConfig};
+use diablo_core::{run, McExperimentConfig};
 use diablo_stack::process::Proto;
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
         cfg.mc_per_rack = 2;
         cfg.version = version;
         cfg.proto = Proto::Tcp;
-        let r = run_memcached(&cfg);
+        let r = run(&cfg).summary;
         let p = percentiles_us(&r.latency);
         let get = |n: &str| p.iter().find(|(k, _)| *k == n).map(|(_, v)| *v).unwrap_or(0.0);
         t.row(vec![

@@ -8,7 +8,7 @@
 
 use diablo_bench::{banner, mc_config_from_args, results_dir, Args};
 use diablo_core::report::Table;
-use diablo_core::run_memcached;
+use diablo_core::run;
 use diablo_stack::process::Proto;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
     for ten_gig in [false, true] {
         let mut cfg = base.clone();
         cfg.ten_gig = ten_gig;
-        let r = run_memcached(&cfg);
+        let r = run(&cfg).summary;
         let link = if ten_gig { "10Gbps" } else { "1Gbps" };
         println!("\n--- {link} interconnect ({} requests) ---", r.latency.count());
         for (class, hist) in r.by_class.iter().enumerate() {

@@ -7,7 +7,7 @@
 
 use diablo_bench::{banner, mc_config_from_args, results_dir, Args};
 use diablo_core::report::{tail_cdf_us, Table};
-use diablo_core::run_memcached;
+use diablo_core::run;
 use diablo_stack::process::Proto;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
         let mut cfg = mc_config_from_args(&args, racks, requests);
         cfg.racks = racks;
         cfg.proto = Proto::Udp;
-        let r = run_memcached(&cfg);
+        let r = run(&cfg).summary;
         let nodes = cfg.nodes();
         summary.row(vec![
             racks.to_string(),

@@ -7,7 +7,7 @@
 
 use diablo_bench::{banner, mc_config_from_args, results_dir, Args};
 use diablo_core::report::{tail_cdf_us, Table};
-use diablo_core::run_memcached;
+use diablo_core::run;
 use diablo_engine::time::SimDuration;
 use diablo_stack::process::Proto;
 
@@ -23,7 +23,7 @@ fn main() {
     for extra_ns in [0u64, 50, 100] {
         let mut cfg = base.clone();
         cfg.extra_switch_latency = SimDuration::from_nanos(extra_ns);
-        let r = run_memcached(&cfg);
+        let r = run(&cfg).summary;
         summary.row(vec![
             extra_ns.to_string(),
             format!("{:.1}", r.latency.quantile(0.50) as f64 / 1e3),

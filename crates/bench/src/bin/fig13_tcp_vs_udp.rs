@@ -8,7 +8,7 @@
 
 use diablo_bench::{banner, mc_config_from_args, results_dir, Args};
 use diablo_core::report::{tail_cdf_us, Table};
-use diablo_core::run_memcached;
+use diablo_core::run;
 use diablo_stack::process::Proto;
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
                 cfg.racks = racks;
                 cfg.proto = proto;
                 cfg.ten_gig = ten_gig;
-                let r = run_memcached(&cfg);
+                let r = run(&cfg).summary;
                 let p99 = r.latency.quantile(0.99) as f64 / 1e3;
                 p99s.push(p99);
                 let label = if proto == Proto::Udp { "UDP" } else { "TCP" };

@@ -6,7 +6,7 @@
 
 use diablo_bench::{banner, mc_config_from_args, results_dir, Args};
 use diablo_core::report::{tail_cdf_us, Table};
-use diablo_core::run_memcached;
+use diablo_core::run;
 use diablo_stack::process::Proto;
 use diablo_stack::profile::KernelProfile;
 
@@ -24,7 +24,7 @@ fn main() {
         let name = kernel.name;
         let mut cfg = base.clone();
         cfg.kernel = kernel;
-        let r = run_memcached(&cfg);
+        let r = run(&cfg).summary;
         let mean_us = r.latency.mean() / 1e3;
         let p50_us = r.latency.quantile(0.5) as f64 / 1e3;
         medians.push(p50_us);

@@ -8,7 +8,7 @@
 use diablo_apps::memcached::McVersion;
 use diablo_bench::{banner, mc_config_from_args, results_dir, Args};
 use diablo_core::report::{tail_cdf_us, Table};
-use diablo_core::run_memcached;
+use diablo_core::run;
 use diablo_stack::process::Proto;
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
             // Connection churn keeps the accept path on the measurement
             // path (clients re-open a connection every 5 requests).
             cfg.reconnect_every = Some(args.get("--reconnect-every", 5));
-            let r = run_memcached(&cfg);
+            let r = run(&cfg).summary;
             let p99 = r.latency.quantile(0.99) as f64 / 1e3;
             p99s.push(p99);
             summary.row(vec![

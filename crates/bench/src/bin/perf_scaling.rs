@@ -51,7 +51,7 @@
 
 use diablo_bench::{banner, best_of, results_dir, Args};
 use diablo_core::report::{fmt_f, Table};
-use diablo_core::{run_memcached, McExperimentConfig, RunMode};
+use diablo_core::{run, McExperimentConfig, RunMode};
 use diablo_engine::prelude::ExecReport;
 use diablo_stack::process::Proto;
 use std::fmt::Write as _;
@@ -80,11 +80,11 @@ fn measure(cfg: &McExperimentConfig, repeat: usize) -> Measurement {
     best_of(
         repeat,
         || {
-            let r = run_memcached(cfg);
+            let r = run(cfg);
             Measurement {
                 events: r.events,
                 wall_s: r.wall.as_secs_f64(),
-                sim_s: r.completed_at.as_secs_f64().max(1e-9),
+                sim_s: r.summary.completed_at.as_secs_f64().max(1e-9),
                 exec: r.exec,
             }
         },

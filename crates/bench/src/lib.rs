@@ -12,28 +12,44 @@
 
 #![warn(missing_docs)]
 
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 /// Minimal command-line argument access: `--key value` pairs and flags.
 #[derive(Debug, Clone)]
 pub struct Args {
     raw: Vec<String>,
+    /// Every flag name a parser has asked about (see [`Args::unread`]).
+    asked: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
     /// Captures the process arguments.
     pub fn parse() -> Self {
-        Args { raw: std::env::args().skip(1).collect() }
+        Self::from_vec(std::env::args().skip(1).collect())
     }
 
     /// From an explicit vector (tests).
     pub fn from_vec(raw: Vec<String>) -> Self {
-        Args { raw }
+        Args { raw, asked: RefCell::default() }
     }
 
     /// `true` if `--name` appears.
     pub fn flag(&self, name: &str) -> bool {
+        self.asked.borrow_mut().insert(name.to_string());
         self.raw.iter().any(|a| a == name)
+    }
+
+    /// The first `--flag` present that no [`flag`](Args::flag) or
+    /// [`try_get`](Args::try_get) call asked about: once a command has
+    /// parsed everything it reads, a flag it does not take.
+    pub fn unread(&self) -> Option<&str> {
+        let asked = self.asked.borrow();
+        self.raw
+            .iter()
+            .find(|a| a.starts_with("--") && !asked.contains(a.as_str()))
+            .map(|a| a.as_str())
     }
 
     /// The value following `--name`, parsed; `default` when the flag is
@@ -41,6 +57,7 @@ impl Args {
     /// falling back to the default would make e.g. `--racks abc` run a
     /// differently-shaped experiment than requested.
     pub fn try_get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError> {
+        self.asked.borrow_mut().insert(name.to_string());
         let Some(i) = self.raw.iter().position(|a| a == name) else {
             return Ok(default);
         };
@@ -302,6 +319,20 @@ mod tests {
         assert_eq!(a.get("--requests", 100u64), 100);
         assert!(a.flag("--full"));
         assert!(!a.flag("--quick"));
+    }
+
+    #[test]
+    fn unread_names_the_first_flag_nothing_asked_about() {
+        let a = Args::from_vec(
+            ["run", "--racks", "8", "--rackz", "9", "--full"].map(String::from).to_vec(),
+        );
+        assert_eq!(a.unread(), Some("--racks"));
+        a.get("--racks", 2usize);
+        assert_eq!(a.unread(), Some("--rackz"));
+        a.flag("--rackz");
+        assert_eq!(a.unread(), Some("--full"));
+        a.flag("--full");
+        assert_eq!(a.unread(), None);
     }
 
     #[test]

@@ -601,3 +601,75 @@ fn malformed_sweep_specs_are_rejected() {
     let p = write_sweep("bogus_scenario.sweep", "scenario tensorflow\naxis --requests = 10\n");
     expect_reject(&["sweep", "--spec", p.to_str().expect("utf-8")], "unknown sweep scenario");
 }
+
+#[test]
+fn sweep_legs_with_flags_the_scenario_does_not_take_are_rejected() {
+    // A typo in a `set` line would apply to every point; in an axis, to
+    // none of them. Either way the whole sweep is refused up front.
+    let p =
+        write_sweep("set_typo.sweep", "scenario memcached\nset --rackz 2\naxis --requests = 5\n");
+    expect_reject(&["sweep", "--spec", p.to_str().expect("utf-8")], "--rackz");
+    let p =
+        write_sweep("axis_foreign.sweep", "scenario partition-aggregate\naxis --deadline = 1, 2\n");
+    expect_reject(&["sweep", "--spec", p.to_str().expect("utf-8")], "--deadline");
+    let p = write_sweep("cli_typo.sweep", "scenario incast\naxis --iterations = 1\n");
+    expect_reject(&["sweep", "--spec", p.to_str().expect("utf-8"), "--job", "2"], "--job");
+}
+
+// ---------------------------------------------------------------------------
+// Flags a subcommand does not read
+// ---------------------------------------------------------------------------
+
+#[test]
+fn flags_the_subcommand_does_not_take_are_rejected() {
+    // The search tier has --deadline-us, not the request deadline.
+    expect_reject(
+        &["partition-aggregate", "--kernel", "3.5", "--deadline", "1", "--rackz", "9"],
+        "does not take --deadline",
+    );
+    expect_reject(&["partition-aggregate", "--rackz", "9"], "--rackz");
+    expect_reject(&["incast", "--requests", "5"], "--requests");
+    expect_reject(&["memcached", "--cross-rack"], "--cross-rack");
+    // Observability flags are the subcommands' own, not a sweep leg's.
+    let p = write_sweep(
+        "leg_metrics.sweep",
+        "scenario incast\nset --metrics x.json\naxis --servers = 2\n",
+    );
+    expect_reject(&["sweep", "--spec", p.to_str().expect("utf-8")], "--metrics");
+}
+
+#[test]
+fn kernel_applies_to_every_subcommand() {
+    let dir = std::env::temp_dir().join("wsc_sim_cli_kernel");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    for base in [
+        &["incast", "--servers", "2", "--iterations", "2"][..],
+        &["partition-aggregate", "--racks", "1", "--queries", "5"][..],
+        &["memcached", "--racks", "1", "--requests", "5"][..],
+    ] {
+        let scrape = |kernel: &str| {
+            let json = dir.join(format!("{}_{kernel}.json", base[0]));
+            let out = wsc_sim()
+                .args(base)
+                .args(["--kernel", kernel, "--metrics", json.to_str().expect("utf-8")])
+                .output()
+                .expect("spawn wsc_sim");
+            assert!(out.status.success(), "{base:?} --kernel {kernel}: {}", stderr(&out));
+            std::fs::read(json).expect("metrics")
+        };
+        assert_ne!(scrape("2.6"), scrape("3.5"), "{}: --kernel 3.5 changed nothing", base[0]);
+    }
+}
+
+#[test]
+fn oversized_control_plane_pools_are_rejected() {
+    let diurnal = repo_root().join("scenarios/diurnal.arrv");
+    let diurnal = diurnal.to_str().expect("utf-8");
+    for args in [
+        &["memcached", "--racks", "65", "--spr", "3", "--control-plane", "--arrival", diurnal][..],
+        &["incast", "--servers", "129", "--client", "epoll", "--control-plane"][..],
+        &["partition-aggregate", "--racks", "27", "--cross-rack", "--control-plane"][..],
+    ] {
+        expect_reject(args, "128-replica limit");
+    }
+}

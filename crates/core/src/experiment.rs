@@ -16,7 +16,7 @@
 //!    out, which surfaces as [`ExperimentError::BudgetExhausted`] naming
 //!    the stuck workload rather than a bare panic;
 //! 5. settle trailing traffic and audit frame conservation;
-//! 6. wrap the workload's own numbers in a [`RunEnvelope`] carrying the
+//! 6. wrap the workload's own numbers in a [`Run`] carrying the
 //!    run-level measurements (events, executor report, metric scrape,
 //!    series, conservation audit, failure accounting).
 //!
@@ -24,7 +24,10 @@
 //! [`build`](Workload::build), poll a done flag in
 //! [`is_done`](Workload::is_done) (keep the poll cheap — it runs on every
 //! horizon doubling), and extract results once in
-//! [`summarize`](Workload::summarize) after completion.
+//! [`summarize`](Workload::summarize) after completion. A scenario config
+//! implements [`Experiment`] — its [`ExperimentBase`] plus a workload
+//! constructor — and runs through the generic [`run`], [`try_run`] and
+//! [`warm`] entry points.
 
 use crate::cluster::{Cluster, ClusterSpec, FabricKind, RunMode, SimHost, SwitchTemplate};
 use crate::fault::{FaultPlan, FaultPlanError};
@@ -87,7 +90,7 @@ pub struct ExperimentBase {
     /// Execution mode.
     pub mode: RunMode,
     /// When set, scrape the whole cluster at this simulated-time cadence
-    /// into the envelope's time series.
+    /// into the run's time series.
     pub sample_every: Option<SimDuration>,
     /// Scripted fault schedule injected before the run starts.
     pub faults: Option<FaultPlan>,
@@ -247,6 +250,17 @@ pub enum ExperimentError {
         /// When the workload actually completed.
         finished_at: SimTime,
     },
+    /// The control plane would manage more replicas than its registry's
+    /// liveness mask can index.
+    ServicePoolTooLarge {
+        /// Replicas the config asks the control plane to manage.
+        replicas: usize,
+        /// The most one service pool can hold.
+        limit: usize,
+    },
+    /// The scenario config contradicts itself (for example, a control
+    /// plane on a workload mode that cannot discover endpoints).
+    Config(String),
 }
 
 impl std::fmt::Display for ExperimentError {
@@ -265,6 +279,12 @@ impl std::fmt::Display for ExperimentError {
                 "checkpoint requested at {at} but the workload completed at {finished_at}; \
                  no snapshot was written"
             ),
+            ExperimentError::ServicePoolTooLarge { replicas, limit } => write!(
+                f,
+                "the control plane's service pool of {replicas} replicas exceeds its \
+                 {limit}-replica limit"
+            ),
+            ExperimentError::Config(msg) => write!(f, "invalid experiment config: {msg}"),
         }
     }
 }
@@ -290,13 +310,15 @@ impl From<FaultPlanError> for ExperimentError {
 }
 
 // ====================================================================
-// The run envelope
+// The run result
 // ====================================================================
 
-/// The run-level measurements common to every workload, wrapped around
-/// each workload's own [`Workload::Summary`].
+/// One finished run: the workload's own [`Workload::Summary`] plus the
+/// run-level measurements common to every workload.
 #[derive(Debug, Clone)]
-pub struct RunEnvelope {
+pub struct Run<S = ()> {
+    /// The workload's own measurements.
+    pub summary: S,
     /// Events processed (simulator-performance reporting).
     pub events: u64,
     /// Parallel-executor statistics (`None` for serial runs).
@@ -307,8 +329,8 @@ pub struct RunEnvelope {
     pub series: Option<SeriesRecorder>,
     /// Frame-conservation audit at end of run. Balance is a first-class
     /// result, not a debug-only assert: check
-    /// [`conserved`](RunEnvelope::conserved) (or
-    /// `conservation.violations`) in release builds too.
+    /// [`conserved`](Run::conserved) (or `conservation.violations`) in
+    /// release builds too.
     pub conservation: DropAccounting,
     /// Client-side failure/recovery report, merged over all the
     /// workload's processes (all zeros in a fault-free run).
@@ -322,10 +344,43 @@ pub struct RunEnvelope {
     pub wall: std::time::Duration,
 }
 
-impl RunEnvelope {
+/// The run-level measurements alone, as [`ExperimentHarness::run`]
+/// returns them next to the workload's summary.
+pub type RunEnvelope = Run;
+
+impl<S> Run<S> {
     /// `true` when the end-of-run frame-conservation audit balanced.
     pub fn conserved(&self) -> bool {
         self.conservation.is_balanced()
+    }
+
+    /// Separates the workload's summary from the run-level measurements.
+    pub fn split(self) -> (S, RunEnvelope) {
+        let Run {
+            summary,
+            events,
+            exec,
+            metrics,
+            series,
+            conservation,
+            failure,
+            slo,
+            sim_time,
+            wall,
+        } = self;
+        let env = Run {
+            summary: (),
+            events,
+            exec,
+            metrics,
+            series,
+            conservation,
+            failure,
+            slo,
+            sim_time,
+            wall,
+        };
+        (summary, env)
     }
 }
 
@@ -358,7 +413,7 @@ fn advance(
 /// Runs the (logically finished) simulation forward in 5 ms steps until
 /// frame conservation balances — trailing ACKs and FINs have left every
 /// wire — so the final scrape is a quiescent snapshot. Gives up after one
-/// simulated second and returns the unbalanced audit for the envelope to
+/// simulated second and returns the unbalanced audit for the run to
 /// report.
 fn settle(host: &mut SimHost, cluster: &Cluster) -> Result<DropAccounting, EngineError> {
     let mut t = host.now();
@@ -435,7 +490,7 @@ impl ExperimentHarness {
         &self,
         workload: &mut W,
     ) -> Result<(W::Summary, RunEnvelope), ExperimentError> {
-        self.run_with(workload, &CheckpointPolicy::default())
+        self.run_with(workload, &CheckpointPolicy::default()).map(Run::split)
     }
 
     /// Runs only the warm-up prefix of `workload` — build the cluster,
@@ -443,54 +498,24 @@ impl ExperimentHarness {
     /// without running to completion. The shared first leg of a
     /// checkpoint-seeded sweep: warm once, restore many.
     ///
-    /// The snapshotted drive horizon is exactly the one the doubling
-    /// loop of [`run_with`](ExperimentHarness::run_with) would carry at
-    /// that instant, so a run restored from a warm checkpoint is
-    /// indistinguishable from one that checkpointed mid-flight.
+    /// The prefix follows the same doubling-horizon schedule as
+    /// [`run_with`](ExperimentHarness::run_with), so a run restored from
+    /// a warm checkpoint is indistinguishable from one that checkpointed
+    /// mid-flight.
     ///
     /// # Errors
     ///
-    /// [`ExperimentError::CheckpointUnreached`] when `at` lies beyond
-    /// the workload's budget, plus the fault-plan/engine/snapshot
-    /// failures of a normal run.
+    /// [`ExperimentError::CheckpointUnreached`] when the workload
+    /// completes (or its budget ends) before `at`, plus the
+    /// fault-plan/engine/snapshot failures of a normal run.
     pub fn warm<W: Workload>(
         &self,
         workload: &mut W,
         path: &std::path::Path,
         at: SimTime,
     ) -> Result<(), ExperimentError> {
-        let spec = self.base.spec();
-        let (mut host, cluster) = Cluster::instantiate(&spec, self.base.mode);
-        let fingerprint = self.fingerprint(workload.name());
-        let budget = workload.budget();
-        if at > budget {
-            return Err(ExperimentError::CheckpointUnreached { at, finished_at: budget });
-        }
-        if let Some(plan) = &self.base.faults {
-            plan.apply(&mut host, &cluster)?;
-        }
-        workload.build(&mut host, &cluster);
-        // Replay the doubling schedule up to the first horizon covering
-        // `at` — the horizon run_with would hold when it snapshots.
-        let mut horizon = workload.initial_horizon().min(budget);
-        while horizon < at {
-            horizon = SimTime::from_picos(horizon.as_picos() * 2).min(budget);
-        }
-        let mut drive = DriveState {
-            horizon,
-            next_sample: self.base.sample_every.map_or(SimTime::ZERO, |d| SimTime::ZERO + d),
-            series: self.base.sample_every.map(|_| SeriesRecorder::new()),
-        };
-        advance(
-            &mut host,
-            &cluster,
-            at,
-            self.base.sample_every,
-            &mut drive.next_sample,
-            drive.series.as_mut(),
-        )?;
-        snapshot::write_snapshot_file(path, &mut host, fingerprint, &drive)?;
-        Ok(())
+        let ckpt = CheckpointPolicy { save: Some((path.to_path_buf(), at)), restore_from: None };
+        self.drive(workload, &ckpt, true).map(drop)
     }
 
     /// Runs `workload` through the full lifecycle, optionally writing a
@@ -506,7 +531,19 @@ impl ExperimentHarness {
         &self,
         workload: &mut W,
         ckpt: &CheckpointPolicy,
-    ) -> Result<(W::Summary, RunEnvelope), ExperimentError> {
+    ) -> Result<Run<W::Summary>, ExperimentError> {
+        self.drive(workload, ckpt, false)
+            .map(|run| run.expect("only a warm-only drive stops before completion"))
+    }
+
+    /// The lifecycle itself. With `warm_only` it stops right after
+    /// writing the `ckpt.save` snapshot and returns `None`.
+    fn drive<W: Workload>(
+        &self,
+        workload: &mut W,
+        ckpt: &CheckpointPolicy,
+        warm_only: bool,
+    ) -> Result<Option<Run<W::Summary>>, ExperimentError> {
         let wall_start = std::time::Instant::now();
 
         // 1. Assemble the cluster.
@@ -514,6 +551,11 @@ impl ExperimentHarness {
         let (mut host, cluster) = Cluster::instantiate(&spec, self.base.mode);
         let fingerprint = self.fingerprint(workload.name());
         let budget = workload.budget();
+        if let Some((_, at)) = &ckpt.save {
+            if *at > budget {
+                return Err(ExperimentError::CheckpointUnreached { at: *at, finished_at: budget });
+            }
+        }
 
         // 2-3. Fault schedule and software — or a restored snapshot.
         let mut drive = if let Some(path) = &ckpt.restore_from {
@@ -550,6 +592,9 @@ impl ExperimentHarness {
                         drive.series.as_mut(),
                     )?;
                     snapshot::write_snapshot_file(path, &mut host, fingerprint, &drive)?;
+                    if warm_only {
+                        return Ok(None);
+                    }
                     pending_save = None;
                 }
             }
@@ -576,7 +621,6 @@ impl ExperimentHarness {
         if let Some((_, at)) = pending_save {
             return Err(ExperimentError::CheckpointUnreached { at, finished_at: host.now() });
         }
-        let series = drive.series;
 
         // 5. Extract results, then settle trailing traffic and audit.
         let failure = workload.failure_stats(&host, &cluster);
@@ -590,20 +634,82 @@ impl ExperimentHarness {
             conservation.violations
         );
 
-        // 6. Wrap it all in the envelope.
-        let envelope = RunEnvelope {
+        // 6. Wrap it all in the run result.
+        Ok(Some(Run {
+            summary,
             events: host.events_processed(),
             exec: host.exec_report(),
             metrics: cluster.scrape(&host),
-            series,
+            series: drive.series,
             conservation,
             failure,
             slo,
             sim_time: host.now(),
             wall: wall_start.elapsed(),
-        };
-        Ok((summary, envelope))
+        }))
     }
+}
+
+// ====================================================================
+// Experiments: configs that know their workload
+// ====================================================================
+
+/// A scenario config the harness can run: the [`ExperimentBase`] it
+/// describes plus the [`Workload`] that realises it. This one impl is
+/// all a config needs for [`run`], [`try_run`] and [`warm`].
+pub trait Experiment {
+    /// What the workload measures.
+    type Summary;
+
+    /// The shared experiment base this config describes.
+    fn base(&self) -> ExperimentBase;
+
+    /// A fresh workload for one run.
+    ///
+    /// # Errors
+    ///
+    /// [`ExperimentError::Config`] or
+    /// [`ExperimentError::ServicePoolTooLarge`] when the config cannot
+    /// be realised.
+    fn workload(&self) -> Result<impl Workload<Summary = Self::Summary> + '_, ExperimentError>;
+}
+
+/// Runs `exp` to completion under a checkpoint policy (mid-run snapshot
+/// and/or restore-from-snapshot; the default policy does neither).
+///
+/// # Errors
+///
+/// See [`Experiment::workload`] and [`ExperimentHarness::run_with`].
+pub fn try_run<E: Experiment>(
+    exp: &E,
+    ckpt: &CheckpointPolicy,
+) -> Result<Run<E::Summary>, ExperimentError> {
+    ExperimentHarness::new(exp.base()).run_with(&mut exp.workload()?, ckpt)
+}
+
+/// Runs `exp` to completion.
+///
+/// # Panics
+///
+/// Panics on any [`ExperimentError`] (most often a workload that does
+/// not finish within its simulated-time budget); use [`try_run`] to
+/// handle it instead.
+pub fn run<E: Experiment>(exp: &E) -> Run<E::Summary> {
+    try_run(exp, &CheckpointPolicy::default()).unwrap_or_else(|e| panic!("experiment failed: {e}"))
+}
+
+/// Runs only the warm-up prefix of `exp` and writes a restorable
+/// checkpoint at `at`.
+///
+/// # Errors
+///
+/// See [`Experiment::workload`] and [`ExperimentHarness::warm`].
+pub fn warm<E: Experiment>(
+    exp: &E,
+    path: &std::path::Path,
+    at: SimTime,
+) -> Result<(), ExperimentError> {
+    ExperimentHarness::new(exp.base()).warm(&mut exp.workload()?, path, at)
 }
 
 #[cfg(test)]

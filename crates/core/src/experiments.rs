@@ -1,22 +1,24 @@
 //! Experiment definitions: assembled scenarios matching the paper's case
 //! studies (§4), returning the measurements the figures plot.
 //!
-//! Every experiment here is a [`Workload`] implementation driven by the
-//! generic [`ExperimentHarness`](crate::experiment::ExperimentHarness) —
-//! the drive loop, sampling, settle, conservation audit and failure merge
-//! live exactly once in [`crate::experiment`]; this module only describes
+//! Every config here implements [`Experiment`] — the [`ExperimentBase`] it
+//! describes plus the [`Workload`] that realises it — and runs through
+//! the generic [`run`](crate::experiment::run) / [`try_run`] /
+//! [`warm`](crate::experiment::warm) entry points. The drive loop,
+//! sampling, settle, conservation audit and failure merge live exactly
+//! once in [`crate::experiment`], and the optional control plane is laid
+//! out and spawned once in `ControlLayout`; this module only describes
 //! *what* runs (which guest processes, where) and *what to measure*.
 
 use crate::cluster::{Cluster, FabricKind, RunMode, SimHost, SwitchTemplate};
 use crate::experiment::{
-    CheckpointPolicy, ExperimentBase, ExperimentError, ExperimentHarness, Workload,
+    try_run, CheckpointPolicy, Experiment, ExperimentBase, ExperimentError, Run, Workload,
 };
 use crate::fault::FaultPlan;
-use crate::observe::DropAccounting;
 use diablo_apps::arrival::{ArrivalSpec, SloStats};
 use diablo_apps::control::{
     gate_futex_key, service_gate, ControlAgent, ControlConfig, ControlPlane, ControlReport,
-    DiscoveryConfig, ServiceSpec, AGENT_PORT, CONTROL_PORT,
+    DiscoveryConfig, ServiceGate, ServiceSpec, AGENT_PORT, CONTROL_PORT, MAX_POOL,
 };
 use diablo_apps::failure::FailureStats;
 use diablo_apps::incast::{
@@ -29,9 +31,7 @@ use diablo_apps::memcached::{
 use diablo_apps::partition_aggregate::{
     PaFrontend, PaFrontendConfig, PaLeaf, PaLeafConfig, PA_PORT,
 };
-use diablo_engine::prelude::{
-    DetRng, ExecReport, Frequency, Histogram, MetricsRegistry, SeriesRecorder, SimDuration, SimTime,
-};
+use diablo_engine::prelude::{DetRng, Frequency, Histogram, SimDuration, SimTime};
 use diablo_net::switch::BufferConfig;
 use diablo_net::topology::{FatTreeConfig, HopClass, TopologyConfig};
 use diablo_net::{NodeAddr, SockAddr};
@@ -39,6 +39,104 @@ use diablo_stack::process::{Proto, Tid};
 use diablo_stack::profile::{CongestionControl, KernelProfile};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+// ====================================================================
+// Shared control-plane setup
+// ====================================================================
+
+/// Where a workload's control plane goes, fixed from the config before
+/// anything is built: the scheduler's node and the one service pool it
+/// manages. Every workload checks and spawns its control plane here.
+struct ControlLayout {
+    ctl: ControlConfig,
+    scheduler: NodeAddr,
+    /// Service endpoints, each flagged with whether it serves from the
+    /// start (the rest are parked spares).
+    pool: Vec<(SockAddr, bool)>,
+}
+
+impl ControlLayout {
+    /// Lays out `ctl`, when set, with the scheduler node and service pool
+    /// `place` picks, checking the config and the pool size.
+    fn new(
+        ctl: Option<&ControlConfig>,
+        place: impl FnOnce() -> (NodeAddr, Vec<(SockAddr, bool)>),
+    ) -> Result<Option<Self>, ExperimentError> {
+        let Some(ctl) = ctl else { return Ok(None) };
+        ctl.validate().map_err(ExperimentError::Config)?;
+        let (scheduler, pool) = place();
+        if pool.len() > MAX_POOL {
+            return Err(ExperimentError::ServicePoolTooLarge {
+                replicas: pool.len(),
+                limit: MAX_POOL,
+            });
+        }
+        Ok(Some(ControlLayout { ctl: ctl.clone(), scheduler, pool }))
+    }
+
+    /// The pool's endpoints, one list shared by every client.
+    fn endpoints(&self) -> Arc<[SockAddr]> {
+        self.pool.iter().map(|&(s, _)| s).collect()
+    }
+
+    /// How a client finds live endpoints: registry lookups, starting
+    /// from the initial placement.
+    fn discovery(&self) -> DiscoveryConfig {
+        let initial_mask = (self.pool.iter().enumerate())
+            .filter(|(_, &(_, active))| active)
+            .fold(0u128, |m, (i, _)| m | (1u128 << i));
+        DiscoveryConfig {
+            control: SockAddr::new(self.scheduler, CONTROL_PORT),
+            service: 0,
+            refresh_every: self.ctl.refresh_every,
+            initial_mask,
+        }
+    }
+
+    /// For each pool member in order: whatever `member` spawns on its
+    /// node, then its health agent holding the gates `member` returns.
+    /// Then the scheduler. Heartbeats are staggered evenly across one
+    /// period so the scheduler never sees a synchronized burst.
+    fn spawn(
+        &self,
+        host: &mut SimHost,
+        cluster: &Cluster,
+        mut member: impl FnMut(&mut SimHost, NodeAddr, bool) -> BTreeMap<u32, ServiceGate>,
+    ) {
+        let control = SockAddr::new(self.scheduler, CONTROL_PORT);
+        let every = self.ctl.heartbeat_every;
+        let (mut agents, mut racks, mut initial) = (Vec::new(), Vec::new(), Vec::new());
+        for (idx, &(s, active)) in self.pool.iter().enumerate() {
+            let gates = member(host, s.node, active);
+            let stagger =
+                SimDuration::from_picos(every.as_picos() * idx as u64 / self.pool.len() as u64);
+            cluster.spawn(
+                host,
+                s.node,
+                Box::new(ControlAgent::new(control, every, stagger, gates)),
+            );
+            agents.push(SockAddr::new(s.node, AGENT_PORT));
+            racks.push(cluster.topo.rack_of(s.node) as u32);
+            if active {
+                initial.push(idx);
+            }
+        }
+        let spec = ServiceSpec { id: 0, pool: self.endpoints().to_vec(), agents, racks, initial };
+        cluster.spawn(
+            host,
+            self.scheduler,
+            Box::new(ControlPlane::new(self.ctl.clone(), vec![spec], CONTROL_PORT)),
+        );
+    }
+
+    /// The scheduler's counters.
+    fn report(&self, host: &SimHost, cluster: &Cluster) -> ControlReport {
+        cluster
+            .process::<ControlPlane>(host, self.scheduler, Tid(0))
+            .expect("control plane missing")
+            .report()
+    }
+}
 
 // ====================================================================
 // Incast (§4.1, Figure 6)
@@ -153,8 +251,37 @@ impl IncastConfig {
         self.fabric = FabricKind::FatTree(ft);
         self
     }
+}
 
-    /// The shared experiment base this config describes.
+/// Incast measurements.
+#[derive(Debug, Clone)]
+pub struct IncastSummary {
+    /// Application goodput in Mbps.
+    pub goodput_mbps: f64,
+    /// Per-iteration completion times.
+    pub iteration_times: Vec<SimDuration>,
+    /// Switch tail drops across the run.
+    pub switch_drops: u64,
+    /// Arrivals the open-loop schedule offered (0 in closed-loop runs).
+    pub offered: u64,
+    /// Monitoring control-plane counters (`None` unless
+    /// [`IncastConfig::control`] was set).
+    pub control: Option<ControlReport>,
+}
+
+/// The incast scenario behind the [`Workload`] trait: storage servers on
+/// nodes 1..=n, the client (pthread master+workers, or one epoll loop) on
+/// node 0, and a monitoring scheduler one past the last server.
+struct IncastWorkload<'a> {
+    cfg: &'a IncastConfig,
+    control: Option<ControlLayout>,
+}
+
+const INCAST_CLIENT: NodeAddr = NodeAddr(0);
+
+impl Experiment for IncastConfig {
+    type Summary = IncastSummary;
+
     fn base(&self) -> ExperimentBase {
         // A monitoring control plane adds one node for the scheduler.
         let extra = usize::from(self.control.is_some());
@@ -203,62 +330,20 @@ impl IncastConfig {
             faults: self.faults.clone(),
         }
     }
-}
 
-/// Incast measurements.
-#[derive(Debug, Clone)]
-pub struct IncastResult {
-    /// Application goodput in Mbps.
-    pub goodput_mbps: f64,
-    /// Per-iteration completion times.
-    pub iteration_times: Vec<SimDuration>,
-    /// Switch tail drops across the run.
-    pub switch_drops: u64,
-    /// Events processed (simulator-performance reporting).
-    pub events: u64,
-    /// Parallel-executor statistics (`None` for serial runs).
-    pub exec: Option<ExecReport>,
-    /// Final whole-cluster metric scrape (quiescent snapshot).
-    pub metrics: MetricsRegistry,
-    /// Periodic scrapes (when [`IncastConfig::sample_every`] was set).
-    pub series: Option<SeriesRecorder>,
-    /// Frame-conservation audit at end of run.
-    pub conservation: DropAccounting,
-    /// Client-side failure/recovery report, merged over all client
-    /// threads (all zeros in a fault-free run).
-    pub failure: FailureStats,
-    /// Arrivals the open-loop schedule offered (0 in closed-loop runs).
-    pub offered: u64,
-    /// Open-loop SLO report: iteration-time violations and shed
-    /// admissions (empty in closed-loop runs).
-    pub slo: SloStats,
-    /// Monitoring control-plane counters (`None` unless
-    /// [`IncastConfig::control`] was set).
-    pub control: Option<ControlReport>,
-}
-
-/// The incast scenario behind the [`Workload`] trait: storage servers on
-/// nodes 1..=n, the client (pthread master+workers, or one epoll loop) on
-/// node 0.
-struct IncastWorkload<'a> {
-    cfg: &'a IncastConfig,
-}
-
-/// What [`IncastWorkload`] measures.
-struct IncastSummary {
-    goodput_bps: f64,
-    iteration_times: Vec<SimDuration>,
-    switch_drops: u64,
-    offered: u64,
-    control: Option<ControlReport>,
-}
-
-const INCAST_CLIENT: NodeAddr = NodeAddr(0);
-
-impl IncastWorkload<'_> {
-    /// The monitoring scheduler's node: one past the last server.
-    fn cp_node(&self) -> Option<NodeAddr> {
-        self.cfg.control.as_ref().map(|_| NodeAddr(self.cfg.servers as u32 + 1))
+    fn workload(&self) -> Result<impl Workload<Summary = IncastSummary> + '_, ExperimentError> {
+        if self.arrival.is_some() && self.client != IncastClientKind::Epoll {
+            return Err(ExperimentError::Config(
+                "incast open-loop mode requires the epoll client".into(),
+            ));
+        }
+        // The scheduler sits one past the last server.
+        let n = self.servers as u32;
+        let control = ControlLayout::new(self.control.as_ref(), || {
+            let pool = (1..=n).map(|i| (SockAddr::new(NodeAddr(i), INCAST_PORT), true));
+            (NodeAddr(n + 1), pool.collect())
+        })?;
+        Ok(IncastWorkload { cfg: self, control })
     }
 }
 
@@ -287,48 +372,10 @@ impl Workload for IncastWorkload<'_> {
             cluster.spawn(host, s.node, Box::new(IncastServer::new()));
         }
         let fragment = self.cfg.block_bytes / n as u32;
-        assert!(
-            self.cfg.arrival.is_none() || self.cfg.client == IncastClientKind::Epoll,
-            "incast open-loop mode requires the epoll client"
-        );
-        // Monitoring control plane: a health beacon on every server, the
-        // scheduler on one extra node past the last server. It observes
-        // liveness through the same congested fabric the incast burst
-        // saturates but does not steer the client.
-        if let Some(ctl) = &self.cfg.control {
-            ctl.validate().expect("invalid ControlConfig");
-            assert!(n <= 128, "service pool is limited to 128 replicas");
-            let cp_node = self.cp_node().expect("control set");
-            let mut agents = Vec::new();
-            let mut racks = Vec::new();
-            for (idx, s) in servers.iter().enumerate() {
-                let stagger =
-                    SimDuration::from_picos(ctl.heartbeat_every.as_picos() * idx as u64 / n as u64);
-                cluster.spawn(
-                    host,
-                    s.node,
-                    Box::new(ControlAgent::new(
-                        SockAddr::new(cp_node, CONTROL_PORT),
-                        ctl.heartbeat_every,
-                        stagger,
-                        BTreeMap::new(),
-                    )),
-                );
-                agents.push(SockAddr::new(s.node, AGENT_PORT));
-                racks.push(cluster.topo.rack_of(s.node) as u32);
-            }
-            let spec = ServiceSpec {
-                id: 0,
-                pool: servers.clone(),
-                agents,
-                racks,
-                initial: (0..n).collect(),
-            };
-            cluster.spawn(
-                host,
-                cp_node,
-                Box::new(ControlPlane::new(ctl.clone(), vec![spec], CONTROL_PORT)),
-            );
+        // Monitoring only: the servers already run, so their agents are
+        // pure health beacons, and the client keeps its static list.
+        if let Some(layout) = &self.control {
+            layout.spawn(host, cluster, |_, _, _| BTreeMap::new());
         }
         match self.cfg.client {
             IncastClientKind::Pthread => {
@@ -391,18 +438,12 @@ impl Workload for IncastWorkload<'_> {
                 (c.goodput_bps(), c.iteration_times.clone(), c.offered)
             }
         };
-        let control = self.cp_node().map(|cp| {
-            cluster
-                .process::<ControlPlane>(host, cp, Tid(0))
-                .expect("control plane missing")
-                .report()
-        });
         IncastSummary {
-            goodput_bps,
+            goodput_mbps: goodput_bps / 1e6,
             iteration_times,
             switch_drops: cluster.total_switch_drops(host),
             offered,
-            control,
+            control: self.control.as_ref().map(|l| l.report(host, cluster)),
         }
     }
 
@@ -437,69 +478,14 @@ impl Workload for IncastWorkload<'_> {
     }
 }
 
-/// Runs one incast configuration to completion.
+/// Runs one incast configuration to completion with the default
+/// checkpoint policy.
 ///
 /// # Errors
 ///
-/// See [`ExperimentHarness::run`].
-pub fn try_run_incast(cfg: &IncastConfig) -> Result<IncastResult, ExperimentError> {
-    try_run_incast_with(cfg, &CheckpointPolicy::default())
-}
-
-/// Runs one incast configuration to completion under a checkpoint
-/// policy (mid-run snapshot and/or restore-from-snapshot).
-///
-/// # Errors
-///
-/// See [`ExperimentHarness::run_with`].
-pub fn try_run_incast_with(
-    cfg: &IncastConfig,
-    ckpt: &CheckpointPolicy,
-) -> Result<IncastResult, ExperimentError> {
-    let (summary, env) =
-        ExperimentHarness::new(cfg.base()).run_with(&mut IncastWorkload { cfg }, ckpt)?;
-    Ok(IncastResult {
-        goodput_mbps: summary.goodput_bps / 1e6,
-        iteration_times: summary.iteration_times,
-        switch_drops: summary.switch_drops,
-        events: env.events,
-        exec: env.exec,
-        metrics: env.metrics,
-        series: env.series,
-        conservation: env.conservation,
-        failure: env.failure,
-        offered: summary.offered,
-        slo: env.slo,
-        control: summary.control,
-    })
-}
-
-/// Runs one incast configuration to completion.
-///
-/// # Panics
-///
-/// Panics if the scenario deadlocks (client never finishes within the
-/// generous simulated-time budget); use [`try_run_incast`] to handle
-/// that as a structured error instead.
-pub fn run_incast(cfg: &IncastConfig) -> IncastResult {
-    match try_run_incast(cfg) {
-        Ok(r) => r,
-        Err(e) => panic!("incast experiment failed ({} servers): {e}", cfg.servers),
-    }
-}
-
-/// Runs only the incast warm-up prefix — build, drive to `at` — and
-/// writes a restorable checkpoint there.
-///
-/// # Errors
-///
-/// See [`ExperimentHarness::warm`].
-pub fn warm_incast(
-    cfg: &IncastConfig,
-    path: &std::path::Path,
-    at: SimTime,
-) -> Result<(), ExperimentError> {
-    ExperimentHarness::new(cfg.base()).warm(&mut IncastWorkload { cfg }, path, at)
+/// See [`try_run`].
+pub fn try_run_incast(cfg: &IncastConfig) -> Result<Run<IncastSummary>, ExperimentError> {
+    try_run(cfg, &CheckpointPolicy::default())
 }
 
 // ====================================================================
@@ -635,7 +621,52 @@ impl McExperimentConfig {
         self
     }
 
-    /// The shared experiment base this config describes.
+    fn node(&self, rack: usize, slot: usize) -> NodeAddr {
+        NodeAddr((rack * self.servers_per_rack + slot) as u32)
+    }
+}
+
+/// Aggregated memcached measurements.
+#[derive(Debug, Clone)]
+pub struct McSummary {
+    /// All client request latencies (nanoseconds).
+    pub latency: Histogram,
+    /// Latencies split by hop class (local / one-hop / two-hop).
+    pub by_class: [Histogram; 3],
+    /// Requests served by all memcached servers.
+    pub served: u64,
+    /// Client-side failures (UDP retry exhaustion).
+    pub failures: u64,
+    /// UDP retransmissions.
+    pub udp_retries: u64,
+    /// When the last client finished its final request.
+    pub completed_at: SimTime,
+    /// Arrivals the open-loop schedules offered across all clients (0 in
+    /// closed-loop runs).
+    pub offered: u64,
+    /// Requests that expired unanswered in open-loop runs (0 in
+    /// closed-loop runs, which retry instead).
+    pub timed_out: u64,
+    /// Control-plane counters (`None` unless
+    /// [`McExperimentConfig::control`] was set).
+    pub control: Option<ControlReport>,
+}
+
+/// The memcached-at-scale scenario: the first `mc_per_rack` nodes of each
+/// rack serve, every remaining node runs a client. Under a control plane
+/// the next `spares_per_rack` nodes of each rack are parked spares, the
+/// cluster's last node hosts the scheduler, and clients discover live
+/// servers through registry lookups.
+struct McWorkload<'a> {
+    cfg: &'a McExperimentConfig,
+    control: Option<ControlLayout>,
+    shareds: Vec<McSharedHandle>,
+    client_addrs: Vec<NodeAddr>,
+}
+
+impl Experiment for McExperimentConfig {
+    type Summary = McSummary;
+
     fn base(&self) -> ExperimentBase {
         let topology = TopologyConfig {
             racks: self.racks,
@@ -667,194 +698,32 @@ impl McExperimentConfig {
             faults: self.faults.clone(),
         }
     }
-}
 
-/// Aggregated memcached measurements.
-#[derive(Debug, Clone)]
-pub struct McExperimentResult {
-    /// All client request latencies (nanoseconds).
-    pub latency: Histogram,
-    /// Latencies split by hop class (local / one-hop / two-hop).
-    pub by_class: [Histogram; 3],
-    /// Requests served by all memcached servers.
-    pub served: u64,
-    /// Client-side failures (UDP retry exhaustion).
-    pub failures: u64,
-    /// UDP retransmissions.
-    pub udp_retries: u64,
-    /// Simulated time consumed (run horizon).
-    pub sim_time: SimTime,
-    /// When the last client finished its final request.
-    pub completed_at: SimTime,
-    /// Events processed.
-    pub events: u64,
-    /// Host wall-clock time.
-    pub wall: std::time::Duration,
-    /// Parallel-executor statistics (`None` for serial runs).
-    pub exec: Option<ExecReport>,
-    /// Final whole-cluster metric scrape (quiescent snapshot).
-    pub metrics: MetricsRegistry,
-    /// Periodic scrapes (when [`McExperimentConfig::sample_every`] was
-    /// set).
-    pub series: Option<SeriesRecorder>,
-    /// Frame-conservation audit at end of run.
-    pub conservation: DropAccounting,
-    /// Client-side failure/recovery report, merged over all clients (all
-    /// zeros in a fault-free run).
-    pub failure: FailureStats,
-    /// Arrivals the open-loop schedules offered across all clients (0 in
-    /// closed-loop runs).
-    pub offered: u64,
-    /// Requests that expired unanswered in open-loop runs (0 in
-    /// closed-loop runs, which retry instead).
-    pub timed_out: u64,
-    /// Open-loop SLO report: latency violations and shed admissions
-    /// (empty in closed-loop runs).
-    pub slo: SloStats,
-    /// Control-plane counters (`None` unless
-    /// [`McExperimentConfig::control`] was set).
-    pub control: Option<ControlReport>,
-}
-
-/// The memcached-at-scale scenario: the first `mc_per_rack` nodes of each
-/// rack serve, every remaining node runs a closed-loop client.
-struct McWorkload<'a> {
-    cfg: &'a McExperimentConfig,
-    shareds: Vec<McSharedHandle>,
-    client_addrs: Vec<NodeAddr>,
-    cp: Option<NodeAddr>,
-}
-
-/// What [`McWorkload`] measures.
-struct McSummary {
-    latency: Histogram,
-    by_class: [Histogram; 3],
-    served: u64,
-    failures: u64,
-    udp_retries: u64,
-    completed_at: SimTime,
-    offered: u64,
-    timed_out: u64,
-    control: Option<ControlReport>,
-}
-
-impl McWorkload<'_> {
-    /// Control-plane variant of [`Workload::build`]: every rack hosts
-    /// `mc_per_rack + spares_per_rack` pool nodes (the spares parked on
-    /// an inactive service gate), each pool node runs a [`ControlAgent`]
-    /// heartbeating to the scheduler on the cluster's last node, and the
-    /// remaining nodes run open-loop clients that discover live servers
-    /// through registry lookups.
-    fn build_controlled(&mut self, host: &mut SimHost, cluster: &Cluster, ctl: &ControlConfig) {
-        let cfg = self.cfg;
-        let root_rng = DetRng::new(cfg.seed);
-        ctl.validate().expect("invalid ControlConfig");
-        assert!(
-            cfg.arrival.is_some() && cfg.proto == Proto::Udp,
-            "the control plane requires the open-loop UDP memcached workload"
-        );
-        let pool_slots = cfg.mc_per_rack + ctl.spares_per_rack;
-        assert!(
-            pool_slots < cfg.servers_per_rack,
-            "mc_per_rack + spares_per_rack must leave room for clients"
-        );
-        assert!(cfg.racks * pool_slots <= 128, "service pool is limited to 128 replicas");
-
-        // The scheduler claims the cluster's last node (a client slot).
-        let cp_node = NodeAddr((cfg.racks * cfg.servers_per_rack - 1) as u32);
-
-        // Pool nodes: gated dispatcher + workers, plus the agent that
-        // heartbeats to the scheduler and flips the gate on command.
-        let mut pool = Vec::new();
-        let mut agents = Vec::new();
-        let mut racks = Vec::new();
-        let mut initial = Vec::new();
-        let pool_len = (cfg.racks * pool_slots) as u64;
-        for rack in 0..cfg.racks {
-            for slot in 0..pool_slots {
-                let addr = NodeAddr((rack * cfg.servers_per_rack + slot) as u32);
-                let idx = pool.len();
-                let active = slot < cfg.mc_per_rack;
-                if active {
-                    initial.push(idx);
-                }
-                let gate = service_gate(active);
-                let scfg = McServerConfig {
-                    port: MEMCACHED_PORT,
-                    workers: cfg.workers,
-                    version: cfg.version,
-                    udp: true,
-                    request_work: cfg.request_work,
-                };
-                let sh = mc_shared(scfg.workers);
-                cluster.spawn(
-                    host,
-                    addr,
-                    Box::new(
-                        McDispatcher::new(scfg.clone(), sh.clone())
-                            .with_gate(gate.clone(), gate_futex_key(0)),
-                    ),
-                );
-                for w in 0..scfg.workers {
-                    cluster.spawn(host, addr, Box::new(McWorker::new(w, scfg.clone(), sh.clone())));
-                }
-                self.shareds.push(sh);
-                // Stagger heartbeats evenly across one period so the
-                // scheduler never sees a synchronized burst.
-                let stagger =
-                    SimDuration::from_picos(ctl.heartbeat_every.as_picos() * idx as u64 / pool_len);
-                let gates = BTreeMap::from([(0u32, gate)]);
-                cluster.spawn(
-                    host,
-                    addr,
-                    Box::new(ControlAgent::new(
-                        SockAddr::new(cp_node, CONTROL_PORT),
-                        ctl.heartbeat_every,
-                        stagger,
-                        gates,
-                    )),
-                );
-                pool.push(SockAddr::new(addr, MEMCACHED_PORT));
-                agents.push(SockAddr::new(addr, AGENT_PORT));
-                racks.push(rack as u32);
+    fn workload(&self) -> Result<impl Workload<Summary = McSummary> + '_, ExperimentError> {
+        let config = |msg: &str| Err(ExperimentError::Config(msg.into()));
+        if self.arrival.is_some() && self.proto != Proto::Udp {
+            return config("open-loop memcached requires UDP");
+        }
+        let spares = self.control.as_ref().map_or(0, |ctl| ctl.spares_per_rack);
+        let pool_slots = self.mc_per_rack + spares;
+        if self.control.is_some() {
+            if self.arrival.is_none() {
+                return config("the control plane requires the open-loop UDP memcached workload");
+            }
+            if pool_slots >= self.servers_per_rack {
+                return config("mc_per_rack + spares_per_rack must leave room for clients");
             }
         }
-        let initial_mask = initial.iter().fold(0u128, |m, &i| m | (1u128 << i));
-        let spec = ServiceSpec { id: 0, pool: pool.clone(), agents, racks, initial };
-        cluster.spawn(
-            host,
-            cp_node,
-            Box::new(ControlPlane::new(ctl.clone(), vec![spec], CONTROL_PORT)),
-        );
-        self.cp = Some(cp_node);
-
-        // Clients: every remaining node except the scheduler's, each
-        // restricting its per-request server draw to the registry's
-        // live-endpoint mask.
-        let pool_socks: Arc<[SockAddr]> = pool.into();
-        for rack in 0..cfg.racks {
-            for slot in pool_slots..cfg.servers_per_rack {
-                let addr = NodeAddr((rack * cfg.servers_per_rack + slot) as u32);
-                if addr == cp_node {
-                    continue;
-                }
-                let mut ccfg = McClientConfig::udp(pool_socks.clone(), cfg.requests_per_client);
-                ccfg.reconnect_every = cfg.reconnect_every;
-                ccfg.request_deadline = cfg.request_deadline;
-                ccfg.arrival = cfg.arrival.clone();
-                ccfg.window = cfg.window;
-                ccfg.slo = cfg.slo;
-                ccfg.discovery = Some(DiscoveryConfig {
-                    control: SockAddr::new(cp_node, CONTROL_PORT),
-                    service: 0,
-                    refresh_every: ctl.refresh_every,
-                    initial_mask,
+        let control = ControlLayout::new(self.control.as_ref(), || {
+            let pool = (0..self.racks)
+                .flat_map(|rack| (0..pool_slots).map(move |slot| (rack, slot)))
+                .map(|(rack, slot)| {
+                    (SockAddr::new(self.node(rack, slot), MEMCACHED_PORT), slot < self.mc_per_rack)
                 });
-                let rng = root_rng.derive(addr.0 as u64);
-                cluster.spawn(host, addr, Box::new(McOpenLoopClient::new(ccfg, rng)));
-                self.client_addrs.push(addr);
-            }
-        }
+            // The scheduler claims the cluster's last node (a client slot).
+            (NodeAddr((self.nodes() - 1) as u32), pool.collect())
+        })?;
+        Ok(McWorkload { cfg: self, control, shareds: Vec::new(), client_addrs: Vec::new() })
     }
 }
 
@@ -880,51 +749,66 @@ impl Workload for McWorkload<'_> {
 
     fn build(&mut self, host: &mut SimHost, cluster: &Cluster) {
         let cfg = self.cfg;
-        if let Some(ctl) = cfg.control.clone() {
-            self.build_controlled(host, cluster, &ctl);
-            return;
-        }
-        let topo = cluster.topo.clone();
-        let root_rng = DetRng::new(cfg.seed);
-
-        // memcached servers: the first `mc_per_rack` nodes of each rack.
-        let mut server_addrs = Vec::new();
-        for rack in 0..cfg.racks {
-            for slot in 0..cfg.mc_per_rack {
-                let addr = NodeAddr((rack * cfg.servers_per_rack + slot) as u32);
-                let scfg = McServerConfig {
-                    port: MEMCACHED_PORT,
-                    workers: cfg.workers,
-                    version: cfg.version,
-                    udp: cfg.proto == Proto::Udp,
-                    request_work: cfg.request_work,
-                };
-                let sh = mc_shared(scfg.workers);
-                cluster.spawn(host, addr, Box::new(McDispatcher::new(scfg.clone(), sh.clone())));
-                for w in 0..scfg.workers {
-                    cluster.spawn(host, addr, Box::new(McWorker::new(w, scfg.clone(), sh.clone())));
-                }
-                self.shareds.push(sh);
-                server_addrs.push(SockAddr::new(addr, MEMCACHED_PORT));
+        let scfg = McServerConfig {
+            port: MEMCACHED_PORT,
+            workers: cfg.workers,
+            version: cfg.version,
+            udp: cfg.proto == Proto::Udp,
+            request_work: cfg.request_work,
+        };
+        // One memcached server: dispatcher plus workers, the dispatcher
+        // parked on `gate` while the control plane holds it as a spare.
+        let shareds = &mut self.shareds;
+        let mut spawn_server = |host: &mut SimHost, addr: NodeAddr, gate: Option<ServiceGate>| {
+            let sh = mc_shared(scfg.workers);
+            let mut dispatcher = McDispatcher::new(scfg.clone(), sh.clone());
+            if let Some(gate) = gate {
+                dispatcher = dispatcher.with_gate(gate, gate_futex_key(0));
             }
-        }
-        // One shared server list for every client on the cluster.
-        let server_addrs: Arc<[SockAddr]> = server_addrs.into();
+            cluster.spawn(host, addr, Box::new(dispatcher));
+            for w in 0..scfg.workers {
+                cluster.spawn(host, addr, Box::new(McWorker::new(w, scfg.clone(), sh.clone())));
+            }
+            shareds.push(sh);
+        };
 
-        // Clients: every remaining node.
-        if cfg.arrival.is_some() {
-            assert_eq!(cfg.proto, Proto::Udp, "open-loop memcached requires UDP");
-        }
+        // Servers: the first `mc_per_rack` nodes of each rack, plus the
+        // spares and their agents under a control plane.
+        let (servers, first_client_slot): (Arc<[SockAddr]>, usize) = match &self.control {
+            Some(layout) => {
+                layout.spawn(host, cluster, |host, addr, active| {
+                    let gate = service_gate(active);
+                    spawn_server(host, addr, Some(gate.clone()));
+                    BTreeMap::from([(0u32, gate)])
+                });
+                (layout.endpoints(), layout.pool.len() / cfg.racks)
+            }
+            None => {
+                let mut servers = Vec::new();
+                for rack in 0..cfg.racks {
+                    for slot in 0..cfg.mc_per_rack {
+                        let addr = cfg.node(rack, slot);
+                        spawn_server(host, addr, None);
+                        servers.push(SockAddr::new(addr, MEMCACHED_PORT));
+                    }
+                }
+                (servers.into(), cfg.mc_per_rack)
+            }
+        };
+
+        // Clients: every remaining node except the scheduler's.
+        let root_rng = DetRng::new(cfg.seed);
+        let topo = cluster.topo.clone();
+        let scheduler = self.control.as_ref().map(|l| l.scheduler);
         for rack in 0..cfg.racks {
-            for slot in cfg.mc_per_rack..cfg.servers_per_rack {
-                let addr = NodeAddr((rack * cfg.servers_per_rack + slot) as u32);
+            for slot in first_client_slot..cfg.servers_per_rack {
+                let addr = cfg.node(rack, slot);
+                if Some(addr) == scheduler {
+                    continue;
+                }
                 let mut ccfg = match cfg.proto {
-                    Proto::Tcp => {
-                        McClientConfig::tcp(server_addrs.clone(), cfg.requests_per_client)
-                    }
-                    Proto::Udp => {
-                        McClientConfig::udp(server_addrs.clone(), cfg.requests_per_client)
-                    }
+                    Proto::Tcp => McClientConfig::tcp(servers.clone(), cfg.requests_per_client),
+                    Proto::Udp => McClientConfig::udp(servers.clone(), cfg.requests_per_client),
                 };
                 ccfg.reconnect_every = cfg.reconnect_every;
                 ccfg.request_deadline = cfg.request_deadline;
@@ -932,10 +816,13 @@ impl Workload for McWorkload<'_> {
                 if let Some(spec) = &cfg.arrival {
                     // Open loop: admissions come from the schedule (each
                     // client draws its own Poisson stream), so no start
-                    // stagger and no per-hop-class split.
+                    // stagger and no per-hop-class split. Under a control
+                    // plane each request draws from the registry's live
+                    // endpoints only.
                     ccfg.arrival = Some(spec.clone());
                     ccfg.window = cfg.window;
                     ccfg.slo = cfg.slo;
+                    ccfg.discovery = self.control.as_ref().map(ControlLayout::discovery);
                     cluster.spawn(host, addr, Box::new(McOpenLoopClient::new(ccfg, rng)));
                 } else {
                     // Stagger client start over ~2 ms to avoid a
@@ -999,12 +886,6 @@ impl Workload for McWorkload<'_> {
             }
         }
         let served = self.shareds.iter().map(|s| s.lock().expect("poisoned").served).sum();
-        let control = self.cp.map(|cp| {
-            cluster
-                .process::<ControlPlane>(host, cp, Tid(0))
-                .expect("control plane missing")
-                .report()
-        });
         McSummary {
             latency,
             by_class,
@@ -1014,7 +895,7 @@ impl Workload for McWorkload<'_> {
             completed_at,
             offered,
             timed_out,
-            control,
+            control: self.control.as_ref().map(|l| l.report(host, cluster)),
         }
     }
 
@@ -1046,75 +927,14 @@ impl Workload for McWorkload<'_> {
     }
 }
 
-/// Runs one memcached experiment to completion.
+/// Runs one memcached experiment to completion with the default
+/// checkpoint policy.
 ///
 /// # Errors
 ///
-/// See [`ExperimentHarness::run`].
-pub fn try_run_memcached(cfg: &McExperimentConfig) -> Result<McExperimentResult, ExperimentError> {
-    try_run_memcached_with(cfg, &CheckpointPolicy::default())
-}
-
-/// Runs one memcached experiment to completion under a checkpoint
-/// policy (mid-run snapshot and/or restore-from-snapshot).
-///
-/// # Errors
-///
-/// See [`ExperimentHarness::run_with`].
-pub fn try_run_memcached_with(
-    cfg: &McExperimentConfig,
-    ckpt: &CheckpointPolicy,
-) -> Result<McExperimentResult, ExperimentError> {
-    let mut workload = McWorkload { cfg, shareds: Vec::new(), client_addrs: Vec::new(), cp: None };
-    let (summary, env) = ExperimentHarness::new(cfg.base()).run_with(&mut workload, ckpt)?;
-    Ok(McExperimentResult {
-        latency: summary.latency,
-        by_class: summary.by_class,
-        served: summary.served,
-        failures: summary.failures,
-        udp_retries: summary.udp_retries,
-        sim_time: env.sim_time,
-        completed_at: summary.completed_at,
-        events: env.events,
-        wall: env.wall,
-        exec: env.exec,
-        metrics: env.metrics,
-        series: env.series,
-        conservation: env.conservation,
-        failure: env.failure,
-        offered: summary.offered,
-        timed_out: summary.timed_out,
-        slo: env.slo,
-        control: summary.control,
-    })
-}
-
-/// Runs one memcached experiment to completion.
-///
-/// # Panics
-///
-/// Panics if clients fail to finish within the simulated-time budget; use
-/// [`try_run_memcached`] to handle that as a structured error instead.
-pub fn run_memcached(cfg: &McExperimentConfig) -> McExperimentResult {
-    match try_run_memcached(cfg) {
-        Ok(r) => r,
-        Err(e) => panic!("memcached experiment failed ({} racks): {e}", cfg.racks),
-    }
-}
-
-/// Runs only the memcached warm-up prefix — build, drive to `at` — and
-/// writes a restorable checkpoint there.
-///
-/// # Errors
-///
-/// See [`ExperimentHarness::warm`].
-pub fn warm_memcached(
-    cfg: &McExperimentConfig,
-    path: &std::path::Path,
-    at: SimTime,
-) -> Result<(), ExperimentError> {
-    let mut workload = McWorkload { cfg, shareds: Vec::new(), client_addrs: Vec::new(), cp: None };
-    ExperimentHarness::new(cfg.base()).warm(&mut workload, path, at)
+/// See [`try_run`].
+pub fn try_run_memcached(cfg: &McExperimentConfig) -> Result<Run<McSummary>, ExperimentError> {
+    try_run(cfg, &CheckpointPolicy::default())
 }
 
 // ====================================================================
@@ -1252,7 +1072,63 @@ impl PaExperimentConfig {
         self
     }
 
-    /// The shared experiment base this config describes.
+    /// The leaves `rack`'s front-end fans out to: its own rack's, or
+    /// every rack's with [`Self::cross_rack`].
+    fn leaf_addrs(&self, rack: usize) -> Vec<SockAddr> {
+        let leaves_of_rack = |r: usize| {
+            (1..self.servers_per_rack).map(move |slot| {
+                SockAddr::new(NodeAddr((r * self.servers_per_rack + slot) as u32), PA_PORT)
+            })
+        };
+        if self.cross_rack {
+            (0..self.racks).flat_map(leaves_of_rack).collect()
+        } else {
+            leaves_of_rack(rack).collect()
+        }
+    }
+}
+
+/// Aggregated partition-aggregate measurements.
+#[derive(Debug, Clone)]
+pub struct PaSummary {
+    /// Full-aggregate latencies over all front-ends (nanoseconds).
+    pub latency: Histogram,
+    /// Queries completed (full or partial) across all front-ends.
+    pub queries: u64,
+    /// Queries where every leaf answered within the deadline.
+    pub full_aggregates: u64,
+    /// Queries that hit the deadline with answers outstanding.
+    pub deadline_misses: u64,
+    /// Leaf answers dropped from aggregates across the run.
+    pub missing_answers: u64,
+    /// Queries answered by all leaves.
+    pub served: u64,
+    /// When the last front-end finished.
+    pub completed_at: SimTime,
+    /// Queries the open-loop schedules offered across all front-ends (0
+    /// in closed-loop runs).
+    pub offered: u64,
+    /// Control-plane counters (`None` unless
+    /// [`PaExperimentConfig::control`] was set).
+    pub control: Option<ControlReport>,
+}
+
+/// The search-tier scenario: slot 0 of each rack is a front-end, the
+/// remaining slots are leaves. Rack-local fan-out by default;
+/// [`PaExperimentConfig::cross_rack`] widens it to the whole cluster.
+/// Under a control plane the scheduler claims the last leaf slot, every
+/// other leaf runs a health beacon, and front-ends fan out only to leaves
+/// the registry reports live — so a crashed leaf stops costing every
+/// query its full deadline as soon as detection lands.
+struct PaWorkload<'a> {
+    cfg: &'a PaExperimentConfig,
+    control: Option<ControlLayout>,
+    frontends: Vec<NodeAddr>,
+}
+
+impl Experiment for PaExperimentConfig {
+    type Summary = PaSummary;
+
     fn base(&self) -> ExperimentBase {
         let topology = TopologyConfig {
             racks: self.racks,
@@ -1286,189 +1162,32 @@ impl PaExperimentConfig {
             faults: self.faults.clone(),
         }
     }
-}
 
-/// Aggregated partition-aggregate measurements.
-#[derive(Debug, Clone)]
-pub struct PaExperimentResult {
-    /// Full-aggregate latencies over all front-ends (nanoseconds).
-    pub latency: Histogram,
-    /// Queries completed (full or partial) across all front-ends.
-    pub queries: u64,
-    /// Queries where every leaf answered within the deadline.
-    pub full_aggregates: u64,
-    /// Queries that hit the deadline with answers outstanding.
-    pub deadline_misses: u64,
-    /// Leaf answers dropped from aggregates across the run.
-    pub missing_answers: u64,
-    /// Queries answered by all leaves.
-    pub served: u64,
-    /// When the last front-end finished.
-    pub completed_at: SimTime,
-    /// Simulated time consumed.
-    pub sim_time: SimTime,
-    /// Events processed.
-    pub events: u64,
-    /// Host wall-clock time.
-    pub wall: std::time::Duration,
-    /// Parallel-executor statistics (`None` for serial runs).
-    pub exec: Option<ExecReport>,
-    /// Final whole-cluster metric scrape (quiescent snapshot).
-    pub metrics: MetricsRegistry,
-    /// Periodic scrapes (when [`PaExperimentConfig::sample_every`] was
-    /// set).
-    pub series: Option<SeriesRecorder>,
-    /// Frame-conservation audit at end of run.
-    pub conservation: DropAccounting,
-    /// Client-side failure/recovery report (all zeros in a fault-free
-    /// run; the deadline-bounded front-end degrades by missing answers,
-    /// not by retrying).
-    pub failure: FailureStats,
-    /// Queries the open-loop schedules offered across all front-ends (0
-    /// in closed-loop runs).
-    pub offered: u64,
-    /// Open-loop SLO report: query-latency violations and shed
-    /// admissions (empty in closed-loop runs).
-    pub slo: SloStats,
-    /// Control-plane counters (`None` unless
-    /// [`PaExperimentConfig::control`] was set).
-    pub control: Option<ControlReport>,
-}
-
-/// The search-tier scenario: slot 0 of each rack is a front-end, the
-/// remaining slots are leaves. Rack-local fan-out by default;
-/// [`PaExperimentConfig::cross_rack`] widens it to the whole cluster.
-struct PaWorkload<'a> {
-    cfg: &'a PaExperimentConfig,
-    frontends: Vec<NodeAddr>,
-    cp: Option<NodeAddr>,
-}
-
-/// What [`PaWorkload`] measures.
-struct PaSummary {
-    latency: Histogram,
-    queries: u64,
-    full_aggregates: u64,
-    deadline_misses: u64,
-    missing_answers: u64,
-    served: u64,
-    completed_at: SimTime,
-    offered: u64,
-    control: Option<ControlReport>,
+    fn workload(&self) -> Result<impl Workload<Summary = PaSummary> + '_, ExperimentError> {
+        if self.control.is_some() && !self.cross_rack {
+            return Err(ExperimentError::Config(
+                "the control plane requires the cross-rack search tier (one shared leaf pool)"
+                    .into(),
+            ));
+        }
+        let control = ControlLayout::new(self.control.as_ref(), || {
+            // The scheduler claims the last leaf slot of the last rack.
+            let scheduler = NodeAddr((self.racks * self.servers_per_rack - 1) as u32);
+            let leaves = self.leaf_addrs(0).into_iter().filter(|s| s.node != scheduler);
+            (scheduler, leaves.map(|s| (s, true)).collect())
+        })?;
+        if control.as_ref().is_some_and(|l| l.pool.is_empty()) {
+            return Err(ExperimentError::Config(
+                "the control plane needs at least one leaf besides the scheduler".into(),
+            ));
+        }
+        Ok(PaWorkload { cfg: self, control, frontends: Vec::new() })
+    }
 }
 
 impl PaWorkload<'_> {
-    fn leaf_addrs(&self, rack: usize) -> Vec<SockAddr> {
-        let cfg = self.cfg;
-        let leaves_of_rack = |r: usize| {
-            (1..cfg.servers_per_rack).map(move |slot| {
-                SockAddr::new(NodeAddr((r * cfg.servers_per_rack + slot) as u32), PA_PORT)
-            })
-        };
-        if cfg.cross_rack {
-            (0..cfg.racks).flat_map(leaves_of_rack).collect()
-        } else {
-            leaves_of_rack(rack).collect()
-        }
-    }
-
-    /// Control-plane variant of [`Workload::build`]: the scheduler
-    /// claims the last leaf slot, every remaining leaf runs a
-    /// health-beacon [`ControlAgent`], and front-ends fan out only to
-    /// leaves the registry's live-endpoint mask reports up — so a
-    /// crashed leaf stops costing every query its full deadline as soon
-    /// as detection lands.
-    fn build_controlled(&mut self, host: &mut SimHost, cluster: &Cluster, ctl: &ControlConfig) {
-        let cfg = self.cfg;
-        let root_rng = DetRng::new(cfg.seed);
-        ctl.validate().expect("invalid ControlConfig");
-        assert!(
-            cfg.cross_rack,
-            "the control plane requires the cross-rack search tier (one shared leaf pool)"
-        );
-        // The scheduler claims the last leaf slot of the last rack.
-        let cp_node = NodeAddr((cfg.racks * cfg.servers_per_rack - 1) as u32);
-        let pool_len = (cfg.racks * (cfg.servers_per_rack - 1) - 1) as u64;
-        assert!(pool_len >= 1, "need at least one leaf besides the scheduler");
-        assert!(pool_len <= 128, "service pool is limited to 128 replicas");
-
-        // Leaves: every non-zero slot except the scheduler's, each with
-        // a pure health-beacon agent (no gate — leaves are always
-        // willing; the registry only tracks their liveness).
-        let mut pool = Vec::new();
-        let mut agents = Vec::new();
-        let mut racks = Vec::new();
-        for rack in 0..cfg.racks {
-            for slot in 1..cfg.servers_per_rack {
-                let addr = NodeAddr((rack * cfg.servers_per_rack + slot) as u32);
-                if addr == cp_node {
-                    continue;
-                }
-                let lcfg = PaLeafConfig {
-                    port: PA_PORT,
-                    service_work: cfg.service_work,
-                    service_jitter: cfg.service_jitter,
-                    answer_bytes: cfg.answer_bytes,
-                };
-                cluster.spawn(
-                    host,
-                    addr,
-                    Box::new(PaLeaf::new(lcfg, root_rng.derive(addr.0 as u64))),
-                );
-                let idx = pool.len() as u64;
-                let stagger =
-                    SimDuration::from_picos(ctl.heartbeat_every.as_picos() * idx / pool_len);
-                cluster.spawn(
-                    host,
-                    addr,
-                    Box::new(ControlAgent::new(
-                        SockAddr::new(cp_node, CONTROL_PORT),
-                        ctl.heartbeat_every,
-                        stagger,
-                        BTreeMap::new(),
-                    )),
-                );
-                pool.push(SockAddr::new(addr, PA_PORT));
-                agents.push(SockAddr::new(addr, AGENT_PORT));
-                racks.push(rack as u32);
-            }
-        }
-        let initial: Vec<usize> = (0..pool.len()).collect();
-        let initial_mask = initial.iter().fold(0u128, |m, &i| m | (1u128 << i));
-        let spec = ServiceSpec { id: 0, pool: pool.clone(), agents, racks, initial };
-        cluster.spawn(
-            host,
-            cp_node,
-            Box::new(ControlPlane::new(ctl.clone(), vec![spec], CONTROL_PORT)),
-        );
-        self.cp = Some(cp_node);
-
-        // Front-ends: slot 0 of each rack, fanning out over the shared
-        // pool filtered by the registry mask.
-        let leaves: Arc<[SockAddr]> = pool.into();
-        for rack in 0..cfg.racks {
-            let addr = NodeAddr((rack * cfg.servers_per_rack) as u32);
-            let mut fcfg = PaFrontendConfig::new(leaves.clone(), cfg.queries);
-            fcfg.deadline = cfg.deadline;
-            fcfg.query_bytes = cfg.query_bytes;
-            fcfg.think = cfg.think;
-            fcfg.discovery = Some(DiscoveryConfig {
-                control: SockAddr::new(cp_node, CONTROL_PORT),
-                service: 0,
-                refresh_every: ctl.refresh_every,
-                initial_mask,
-            });
-            let fe: Box<PaFrontend> = if let Some(spec) = &cfg.arrival {
-                fcfg.arrival = Some(spec.clone());
-                fcfg.slo = cfg.slo;
-                Box::new(PaFrontend::open_loop(fcfg, root_rng.derive(addr.0 as u64)))
-            } else {
-                fcfg.start_delay = SimDuration::from_micros((addr.0 as u64 * 7) % 2_000);
-                Box::new(PaFrontend::new(fcfg))
-            };
-            cluster.spawn(host, addr, fe);
-            self.frontends.push(addr);
-        }
+    fn scheduler(&self) -> Option<NodeAddr> {
+        self.control.as_ref().map(|l| l.scheduler)
     }
 }
 
@@ -1500,42 +1219,51 @@ impl Workload for PaWorkload<'_> {
 
     fn build(&mut self, host: &mut SimHost, cluster: &Cluster) {
         let cfg = self.cfg;
-        if let Some(ctl) = cfg.control.clone() {
-            self.build_controlled(host, cluster, &ctl);
-            return;
-        }
         let root_rng = DetRng::new(cfg.seed);
-        // Leaves first: every non-zero slot of each rack.
-        for rack in 0..cfg.racks {
-            for slot in 1..cfg.servers_per_rack {
-                let addr = NodeAddr((rack * cfg.servers_per_rack + slot) as u32);
-                let lcfg = PaLeafConfig {
-                    port: PA_PORT,
-                    service_work: cfg.service_work,
-                    service_jitter: cfg.service_jitter,
-                    answer_bytes: cfg.answer_bytes,
-                };
-                cluster.spawn(
-                    host,
-                    addr,
-                    Box::new(PaLeaf::new(lcfg, root_rng.derive(addr.0 as u64))),
-                );
+        let lcfg = PaLeafConfig {
+            port: PA_PORT,
+            service_work: cfg.service_work,
+            service_jitter: cfg.service_jitter,
+            answer_bytes: cfg.answer_bytes,
+        };
+        let spawn_leaf = |host: &mut SimHost, addr: NodeAddr| {
+            let leaf = PaLeaf::new(lcfg.clone(), root_rng.derive(addr.0 as u64));
+            cluster.spawn(host, addr, Box::new(leaf));
+        };
+        // Leaves first: every non-zero slot of each rack (but the
+        // scheduler's), each with a pure health beacon under a control
+        // plane — leaves are always willing, the registry only tracks
+        // their liveness.
+        let shared_leaves: Option<Arc<[SockAddr]>> = match &self.control {
+            Some(layout) => {
+                layout.spawn(host, cluster, |host, addr, _| {
+                    spawn_leaf(host, addr);
+                    BTreeMap::new()
+                });
+                Some(layout.endpoints())
             }
-        }
+            None => {
+                for rack in 0..cfg.racks {
+                    for slot in 1..cfg.servers_per_rack {
+                        spawn_leaf(host, NodeAddr((rack * cfg.servers_per_rack + slot) as u32));
+                    }
+                }
+                cfg.cross_rack.then(|| cfg.leaf_addrs(0).into())
+            }
+        };
         // Front-ends: slot 0 of each rack, sharing one leaf list per
         // fan-out domain.
-        let cluster_leaves: Option<Arc<[SockAddr]>> =
-            cfg.cross_rack.then(|| self.leaf_addrs(0).into());
         for rack in 0..cfg.racks {
             let addr = NodeAddr((rack * cfg.servers_per_rack) as u32);
-            let leaves: Arc<[SockAddr]> = match &cluster_leaves {
+            let leaves: Arc<[SockAddr]> = match &shared_leaves {
                 Some(shared) => shared.clone(),
-                None => self.leaf_addrs(rack).into(),
+                None => cfg.leaf_addrs(rack).into(),
             };
             let mut fcfg = PaFrontendConfig::new(leaves, cfg.queries);
             fcfg.deadline = cfg.deadline;
             fcfg.query_bytes = cfg.query_bytes;
             fcfg.think = cfg.think;
+            fcfg.discovery = self.control.as_ref().map(ControlLayout::discovery);
             let fe: Box<PaFrontend> = if let Some(spec) = &cfg.arrival {
                 // Open loop: admissions come from the schedule (each
                 // front-end draws its own stream), so no start stagger.
@@ -1581,19 +1309,13 @@ impl Workload for PaWorkload<'_> {
         for rack in 0..self.cfg.racks {
             for slot in 1..self.cfg.servers_per_rack {
                 let addr = NodeAddr((rack * self.cfg.servers_per_rack + slot) as u32);
-                if Some(addr) == self.cp {
+                if Some(addr) == self.scheduler() {
                     continue;
                 }
                 let l: &PaLeaf = cluster.process(host, addr, Tid(0)).expect("leaf missing");
                 served += l.served;
             }
         }
-        let control = self.cp.map(|cp| {
-            cluster
-                .process::<ControlPlane>(host, cp, Tid(0))
-                .expect("control plane missing")
-                .report()
-        });
         PaSummary {
             latency,
             queries,
@@ -1603,7 +1325,7 @@ impl Workload for PaWorkload<'_> {
             served,
             completed_at,
             offered,
-            control,
+            control: self.control.as_ref().map(|l| l.report(host, cluster)),
         }
     }
 
@@ -1617,91 +1339,30 @@ impl Workload for PaWorkload<'_> {
     }
 }
 
-/// Runs one partition-aggregate experiment to completion.
+/// Runs one partition-aggregate experiment to completion with the default
+/// checkpoint policy.
 ///
 /// # Errors
 ///
-/// See [`ExperimentHarness::run`].
+/// See [`try_run`].
 pub fn try_run_partition_aggregate(
     cfg: &PaExperimentConfig,
-) -> Result<PaExperimentResult, ExperimentError> {
-    try_run_partition_aggregate_with(cfg, &CheckpointPolicy::default())
-}
-
-/// Runs one partition-aggregate experiment to completion under a
-/// checkpoint policy (mid-run snapshot and/or restore-from-snapshot).
-///
-/// # Errors
-///
-/// See [`ExperimentHarness::run_with`].
-pub fn try_run_partition_aggregate_with(
-    cfg: &PaExperimentConfig,
-    ckpt: &CheckpointPolicy,
-) -> Result<PaExperimentResult, ExperimentError> {
-    let mut workload = PaWorkload { cfg, frontends: Vec::new(), cp: None };
-    let (summary, env) = ExperimentHarness::new(cfg.base()).run_with(&mut workload, ckpt)?;
-    Ok(PaExperimentResult {
-        latency: summary.latency,
-        queries: summary.queries,
-        full_aggregates: summary.full_aggregates,
-        deadline_misses: summary.deadline_misses,
-        missing_answers: summary.missing_answers,
-        served: summary.served,
-        completed_at: summary.completed_at,
-        sim_time: env.sim_time,
-        events: env.events,
-        wall: env.wall,
-        exec: env.exec,
-        metrics: env.metrics,
-        series: env.series,
-        conservation: env.conservation,
-        failure: env.failure,
-        offered: summary.offered,
-        slo: env.slo,
-        control: summary.control,
-    })
-}
-
-/// Runs one partition-aggregate experiment to completion.
-///
-/// # Panics
-///
-/// Panics if front-ends fail to finish within the simulated-time budget;
-/// use [`try_run_partition_aggregate`] to handle that as a structured
-/// error instead.
-pub fn run_partition_aggregate(cfg: &PaExperimentConfig) -> PaExperimentResult {
-    match try_run_partition_aggregate(cfg) {
-        Ok(r) => r,
-        Err(e) => panic!("partition-aggregate experiment failed ({} racks): {e}", cfg.racks),
-    }
-}
-
-/// Runs only the partition-aggregate warm-up prefix — build, drive to
-/// `at` — and writes a restorable checkpoint there.
-///
-/// # Errors
-///
-/// See [`ExperimentHarness::warm`].
-pub fn warm_partition_aggregate(
-    cfg: &PaExperimentConfig,
-    path: &std::path::Path,
-    at: SimTime,
-) -> Result<(), ExperimentError> {
-    let mut workload = PaWorkload { cfg, frontends: Vec::new(), cp: None };
-    ExperimentHarness::new(cfg.base()).warm(&mut workload, path, at)
+) -> Result<Run<PaSummary>, ExperimentError> {
+    try_run(cfg, &CheckpointPolicy::default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::run;
 
     #[test]
     fn incast_fig6a_point_runs() {
         let mut cfg = IncastConfig::fig6a(4);
         cfg.iterations = 3;
-        let r = run_incast(&cfg);
-        assert_eq!(r.iteration_times.len(), 3);
-        assert!(r.goodput_mbps > 0.0);
+        let r = run(&cfg);
+        assert_eq!(r.summary.iteration_times.len(), 3);
+        assert!(r.summary.goodput_mbps > 0.0);
         assert!(r.events > 1_000);
     }
 
@@ -1711,44 +1372,49 @@ mod tests {
         small.iterations = 3;
         let mut big = IncastConfig::fig6a(12);
         big.iterations = 3;
-        let gs = run_incast(&small).goodput_mbps;
-        let gb = run_incast(&big).goodput_mbps;
+        let gs = run(&small).summary.goodput_mbps;
+        let gb = run(&big).summary.goodput_mbps;
         assert!(gb < gs / 3.0, "expected collapse: g(2)={gs:.1} g(12)={gb:.1}");
     }
 
     #[test]
     fn memcached_mini_experiment_completes() {
         let cfg = McExperimentConfig::mini(2, 20);
-        let r = run_memcached(&cfg);
+        let r = run(&cfg);
         // 2 racks x 5 clients x 20 requests.
-        assert_eq!(r.latency.count(), 200);
-        assert!(r.served >= 200);
+        assert_eq!(r.summary.latency.count(), 200);
+        assert!(r.summary.served >= 200);
         // Hop classes are populated: with one array there are local and
         // one-hop requests.
-        assert!(r.by_class[0].count() + r.by_class[1].count() + r.by_class[2].count() == 200);
+        assert!(
+            r.summary.by_class[0].count()
+                + r.summary.by_class[1].count()
+                + r.summary.by_class[2].count()
+                == 200
+        );
     }
 
     #[test]
     fn memcached_tcp_mini_completes() {
         let mut cfg = McExperimentConfig::mini(2, 15);
         cfg.proto = Proto::Tcp;
-        let r = run_memcached(&cfg);
-        assert_eq!(r.latency.count(), 150);
-        assert_eq!(r.failures, 0);
+        let r = run(&cfg);
+        assert_eq!(r.summary.latency.count(), 150);
+        assert_eq!(r.summary.failures, 0);
     }
 
     #[test]
     fn partition_aggregate_mini_completes_fault_free() {
         let cfg = PaExperimentConfig::new(2, 10);
-        let r = run_partition_aggregate(&cfg);
+        let r = run(&cfg);
         // 2 front-ends x 10 queries, all full aggregates with no faults.
-        assert_eq!(r.queries, 20);
-        assert_eq!(r.full_aggregates, 20);
-        assert_eq!(r.deadline_misses, 0);
-        assert_eq!(r.missing_answers, 0);
-        assert_eq!(r.latency.count(), 20);
+        assert_eq!(r.summary.queries, 20);
+        assert_eq!(r.summary.full_aggregates, 20);
+        assert_eq!(r.summary.deadline_misses, 0);
+        assert_eq!(r.summary.missing_answers, 0);
+        assert_eq!(r.summary.latency.count(), 20);
         // Every query reached every leaf: 10 queries x 5 leaves per rack.
-        assert_eq!(r.served, 100);
+        assert_eq!(r.summary.served, 100);
         assert!(r.conservation.is_balanced());
     }
 
@@ -1756,11 +1422,11 @@ mod tests {
     fn partition_aggregate_cross_rack_fans_wider() {
         let mut cfg = PaExperimentConfig::new(2, 5);
         cfg.cross_rack = true;
-        let r = run_partition_aggregate(&cfg);
-        assert_eq!(r.queries, 10);
+        let r = run(&cfg);
+        assert_eq!(r.summary.queries, 10);
         // 5 queries x 10 leaves x 2 front-ends.
-        assert_eq!(r.served, 100);
-        assert_eq!(r.full_aggregates + r.deadline_misses, 10);
+        assert_eq!(r.summary.served, 100);
+        assert_eq!(r.summary.full_aggregates + r.summary.deadline_misses, 10);
     }
 
     #[test]
@@ -1768,12 +1434,12 @@ mod tests {
         let mut cfg = McExperimentConfig::mini(1, 0);
         cfg.arrival = Some(ArrivalSpec::poisson(2_000.0, SimDuration::from_millis(20)).unwrap());
         cfg.slo = Some(SimDuration::from_micros(500));
-        let r = run_memcached(&cfg);
-        assert!(r.offered > 0, "the schedule must admit requests");
+        let r = run(&cfg);
+        assert!(r.summary.offered > 0, "the schedule must admit requests");
         // Every admission resolves exactly once: completed, expired
         // unanswered, or shed at a full window.
-        assert_eq!(r.offered, r.slo.completed + r.slo.shed);
-        assert_eq!(r.slo.completed, r.latency.count() + r.timed_out);
+        assert_eq!(r.summary.offered, r.slo.completed + r.slo.shed);
+        assert_eq!(r.slo.completed, r.summary.latency.count() + r.summary.timed_out);
         assert_eq!(r.slo.target, Some(SimDuration::from_micros(500)));
     }
 
@@ -1782,10 +1448,10 @@ mod tests {
         let mut cfg = PaExperimentConfig::new(1, 0);
         cfg.arrival = Some(ArrivalSpec::constant(2_000.0, SimDuration::from_millis(20)).unwrap());
         cfg.slo = Some(SimDuration::from_micros(800));
-        let r = run_partition_aggregate(&cfg);
-        assert!(r.offered > 0, "the schedule must admit queries");
-        assert_eq!(r.offered, r.slo.completed + r.slo.shed);
-        assert_eq!(r.queries, r.slo.completed);
+        let r = run(&cfg);
+        assert!(r.summary.offered > 0, "the schedule must admit queries");
+        assert_eq!(r.summary.offered, r.slo.completed + r.slo.shed);
+        assert_eq!(r.summary.queries, r.slo.completed);
     }
 
     #[test]
@@ -1795,10 +1461,10 @@ mod tests {
         cfg.block_bytes = 64 * 1024;
         cfg.arrival = Some(ArrivalSpec::constant(100.0, SimDuration::from_millis(50)).unwrap());
         cfg.slo = Some(SimDuration::from_millis(5));
-        let r = run_incast(&cfg);
-        assert!(r.offered > 0, "the schedule must admit iterations");
-        assert_eq!(r.offered, r.slo.completed + r.slo.shed);
-        assert_eq!(r.iteration_times.len() as u64, r.slo.completed);
+        let r = run(&cfg);
+        assert!(r.summary.offered > 0, "the schedule must admit iterations");
+        assert_eq!(r.summary.offered, r.slo.completed + r.slo.shed);
+        assert_eq!(r.summary.iteration_times.len() as u64, r.slo.completed);
     }
 
     #[test]
@@ -1806,9 +1472,9 @@ mod tests {
         let mut cfg = IncastConfig::fig6a(4).on_fat_tree(FatTreeConfig::new(4));
         cfg.iterations = 2;
         cfg.cc = CongestionControl::Dctcp;
-        let r = run_incast(&cfg);
-        assert_eq!(r.iteration_times.len(), 2);
-        assert!(r.goodput_mbps > 0.0);
+        let r = run(&cfg);
+        assert_eq!(r.summary.iteration_times.len(), 2);
+        assert!(r.summary.goodput_mbps > 0.0);
         assert!(r.conservation.is_balanced());
     }
 
@@ -1820,9 +1486,9 @@ mod tests {
         let cfg = McExperimentConfig::mini(1, 5).on_fat_tree(ft);
         assert_eq!(cfg.racks, 8);
         assert_eq!(cfg.servers_per_rack, 3);
-        let r = run_memcached(&cfg);
+        let r = run(&cfg);
         // 8 racks x 2 clients x 5 requests.
-        assert_eq!(r.latency.count(), 80);
+        assert_eq!(r.summary.latency.count(), 80);
         assert!(r.conservation.is_balanced());
     }
 
@@ -1831,9 +1497,9 @@ mod tests {
         let mut cfg = PaExperimentConfig::new(1, 4).on_fat_tree(FatTreeConfig::new(4));
         cfg.cross_rack = true;
         cfg.cc = CongestionControl::Dctcp;
-        let r = run_partition_aggregate(&cfg);
+        let r = run(&cfg);
         // 8 front-ends (one per edge) x 4 queries.
-        assert_eq!(r.queries, 32);
+        assert_eq!(r.summary.queries, 32);
         assert!(r.conservation.is_balanced());
     }
 
@@ -1846,10 +1512,10 @@ mod tests {
         cfg.arrival = Some(ArrivalSpec::poisson(2_000.0, SimDuration::from_millis(30)).unwrap());
         cfg.slo = Some(SimDuration::from_millis(1));
         cfg.control = Some(ControlConfig::default());
-        let r = run_memcached(&cfg);
-        assert!(r.offered > 0, "the schedule must admit requests");
-        assert_eq!(r.offered, r.slo.completed + r.slo.shed);
-        let ctl = r.control.expect("control report present");
+        let r = run(&cfg);
+        assert!(r.summary.offered > 0, "the schedule must admit requests");
+        assert_eq!(r.summary.offered, r.slo.completed + r.slo.shed);
+        let ctl = r.summary.control.expect("control report present");
         assert!(ctl.heartbeats > 0, "agents must heartbeat");
         assert!(ctl.lookups > 0, "clients must refresh endpoints");
         assert_eq!(ctl.suspicions, 0, "a healthy fleet raises no suspicions");
@@ -1859,7 +1525,7 @@ mod tests {
         assert_eq!(ctl.replicas, vec![(0, 2, 2)]);
         // The fleet the clients see is exactly the ready replicas: the
         // spares never serve while gated off.
-        assert!(r.latency.count() > 0);
+        assert!(r.summary.latency.count() > 0);
     }
 
     #[test]
@@ -1873,8 +1539,8 @@ mod tests {
         cfg.slo = Some(SimDuration::from_millis(1));
         cfg.control = Some(ControlConfig::default());
         cfg.faults = Some(FaultPlan::parse("10ms node-crash node0").expect("valid plan"));
-        let r = run_memcached(&cfg);
-        let ctl = r.control.expect("control report present");
+        let r = run(&cfg);
+        let ctl = r.summary.control.expect("control report present");
         assert!(ctl.detections >= 1, "the dead replica must be detected");
         assert_eq!(ctl.failovers, 1, "exactly one replacement activation");
         assert_eq!(ctl.replicas, vec![(0, 2, 2)], "the fleet must be whole again");
@@ -1898,12 +1564,15 @@ mod tests {
         cfg.cross_rack = true;
         cfg.control = Some(ControlConfig::default());
         cfg.faults = Some(FaultPlan::parse("5ms node-crash node1").expect("valid plan"));
-        let r = run_partition_aggregate(&cfg);
-        let ctl = r.control.expect("control report present");
-        assert_eq!(r.queries, 80, "deadline-bounded queries always complete");
+        let r = run(&cfg);
+        let ctl = r.summary.control.expect("control report present");
+        assert_eq!(r.summary.queries, 80, "deadline-bounded queries always complete");
         assert!(ctl.detections >= 1, "the dead leaf must be detected");
-        assert!(r.deadline_misses > 0, "queries in the detection window miss");
-        assert!(r.full_aggregates > 0, "queries after the fleet shrank must aggregate fully again");
+        assert!(r.summary.deadline_misses > 0, "queries in the detection window miss");
+        assert!(
+            r.summary.full_aggregates > 0,
+            "queries after the fleet shrank must aggregate fully again"
+        );
     }
 
     #[test]
@@ -1911,9 +1580,9 @@ mod tests {
         let mut cfg = IncastConfig::fig6a(4);
         cfg.iterations = 3;
         cfg.control = Some(ControlConfig::default());
-        let r = run_incast(&cfg);
-        assert_eq!(r.iteration_times.len(), 3);
-        let ctl = r.control.expect("control report present");
+        let r = run(&cfg);
+        assert_eq!(r.summary.iteration_times.len(), 3);
+        let ctl = r.summary.control.expect("control report present");
         assert!(ctl.heartbeats > 0);
         assert_eq!(ctl.suspicions, 0, "servers stay alive through the burst");
         assert_eq!(ctl.replicas, vec![(0, 4, 4)]);
@@ -1928,10 +1597,43 @@ mod tests {
         let mut cfg = PaExperimentConfig::new(2, 40);
         cfg.faults =
             Some(FaultPlan::parse("1ms link-down node1\n4ms link-up node1").expect("valid plan"));
-        let r = run_partition_aggregate(&cfg);
-        assert_eq!(r.queries, 80, "deadline-bounded queries always complete");
-        assert!(r.deadline_misses > 0, "a downed leaf link must cost deadlines");
-        assert!(r.missing_answers >= r.deadline_misses);
-        assert!(r.full_aggregates > 0, "the fault window ends before the run does");
+        let r = run(&cfg);
+        assert_eq!(r.summary.queries, 80, "deadline-bounded queries always complete");
+        assert!(r.summary.deadline_misses > 0, "a downed leaf link must cost deadlines");
+        assert!(r.summary.missing_answers >= r.summary.deadline_misses);
+        assert!(r.summary.full_aggregates > 0, "the fault window ends before the run does");
+    }
+
+    /// Asserts `exp` is refused before anything is built, with the pool
+    /// size it asked for.
+    fn assert_pool_refused<E: Experiment>(exp: &E, replicas: usize) {
+        match try_run(exp, &CheckpointPolicy::default()) {
+            Err(ExperimentError::ServicePoolTooLarge { replicas: r, limit }) => {
+                assert_eq!((r, limit), (replicas, MAX_POOL));
+            }
+            Err(other) => panic!("expected ServicePoolTooLarge, got {other}"),
+            Ok(_) => panic!("an oversized service pool must be refused"),
+        }
+    }
+
+    #[test]
+    fn oversized_control_pools_are_structured_errors() {
+        // 65 racks x (1 serving + 1 spare) = 130 replicas.
+        let mut mc = McExperimentConfig::mini(65, 0);
+        mc.servers_per_rack = 3;
+        mc.arrival = Some(ArrivalSpec::constant(100.0, SimDuration::from_millis(1)).unwrap());
+        mc.control = Some(ControlConfig::default());
+        assert_pool_refused(&mc, 130);
+
+        let mut incast = IncastConfig::fig6a(129);
+        incast.client = IncastClientKind::Epoll;
+        incast.control = Some(ControlConfig::default());
+        assert_pool_refused(&incast, 129);
+
+        // 27 racks x 5 leaves, less the scheduler's slot.
+        let mut pa = PaExperimentConfig::new(27, 1);
+        pa.cross_rack = true;
+        pa.control = Some(ControlConfig::default());
+        assert_pool_refused(&pa, 134);
     }
 }

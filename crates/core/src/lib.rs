@@ -6,7 +6,8 @@
 //! partition-parallel across many ([`cluster::SimHost`]), drive any
 //! [`experiment::Workload`] through the one shared lifecycle
 //! ([`experiment::ExperimentHarness`]), run the paper's workloads
-//! ([`experiments`]), and render results ([`report`]). The [`survey`]
+//! ([`experiments`]) through the generic [`run`]/[`try_run`]/[`warm`]
+//! entry points, and render results ([`report`]). The [`survey`]
 //! module carries the paper's motivation data (Figure 2 / Table 1).
 
 #![warn(missing_docs)]
@@ -25,14 +26,12 @@ pub use cluster::{Cluster, ClusterSpec, FabricKind, RunMode, SimHost, SwitchTemp
 pub use diablo_apps::arrival::{ArrivalError, ArrivalProcess, ArrivalSpec, SloStats};
 pub use diablo_apps::control::{ControlConfig, ControlReport};
 pub use experiment::{
-    CheckpointPolicy, ExperimentBase, ExperimentError, ExperimentHarness, RunEnvelope, Workload,
+    run, try_run, warm, CheckpointPolicy, Experiment, ExperimentBase, ExperimentError,
+    ExperimentHarness, Run, RunEnvelope, Workload,
 };
 pub use experiments::{
-    run_incast, run_memcached, run_partition_aggregate, try_run_incast, try_run_incast_with,
-    try_run_memcached, try_run_memcached_with, try_run_partition_aggregate,
-    try_run_partition_aggregate_with, warm_incast, warm_memcached, warm_partition_aggregate,
-    IncastClientKind, IncastConfig, IncastResult, McExperimentConfig, McExperimentResult,
-    PaExperimentConfig, PaExperimentResult,
+    try_run_incast, try_run_memcached, try_run_partition_aggregate, IncastClientKind, IncastConfig,
+    IncastSummary, McExperimentConfig, McSummary, PaExperimentConfig, PaSummary,
 };
 pub use fault::{FaultEventSpec, FaultKind, FaultPlan, FaultPlanError, FaultTarget, RepeatSpec};
 pub use observe::DropAccounting;

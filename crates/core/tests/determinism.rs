@@ -10,9 +10,8 @@
 //! to the uninterrupted one, serial and partitioned.
 
 use diablo_core::{
-    run_memcached, run_partition_aggregate, try_run_memcached, try_run_memcached_with,
-    try_run_partition_aggregate_with, warm_memcached, ArrivalSpec, CheckpointPolicy, ControlConfig,
-    FaultPlan, McExperimentConfig, PaExperimentConfig, RunMode,
+    run, try_run, try_run_memcached, warm, ArrivalSpec, CheckpointPolicy, ControlConfig, FaultPlan,
+    McExperimentConfig, PaExperimentConfig, RunMode,
 };
 use diablo_engine::prelude::SimDuration;
 use diablo_engine::time::SimTime;
@@ -39,10 +38,10 @@ fn controlled_mc() -> McExperimentConfig {
 /// every scrape matches the serial one byte for byte.
 fn assert_partition_invariant(mut cfg: McExperimentConfig, partitions: &[usize]) {
     cfg.mode = RunMode::Serial;
-    let baseline = run_memcached(&cfg).metrics.to_json();
+    let baseline = run(&cfg).metrics.to_json();
     for &p in partitions {
         cfg.mode = RunMode::parallel(p);
-        let scrape = run_memcached(&cfg).metrics.to_json();
+        let scrape = run(&cfg).metrics.to_json();
         assert_eq!(baseline, scrape, "metrics diverged between serial and {p}-partition runs");
     }
 }
@@ -66,10 +65,10 @@ fn controlled_partition_aggregate_is_partition_invariant() {
     cfg.control = Some(ControlConfig::default());
     cfg.faults = Some(FaultPlan::parse("5ms node-crash node1 reboot=20ms").unwrap());
     cfg.mode = RunMode::Serial;
-    let baseline = run_partition_aggregate(&cfg).metrics.to_json();
+    let baseline = run(&cfg).metrics.to_json();
     for p in [2, 4] {
         cfg.mode = RunMode::parallel(p);
-        let scrape = run_partition_aggregate(&cfg).metrics.to_json();
+        let scrape = run(&cfg).metrics.to_json();
         assert_eq!(baseline, scrape, "metrics diverged between serial and {p}-partition runs");
     }
 }
@@ -83,8 +82,8 @@ fn control_plane_off_legacy_runs_are_unchanged_by_the_new_fields() {
     let mut cfg = McExperimentConfig::mini(2, 0);
     cfg.arrival = Some(ArrivalSpec::poisson(2_000.0, SimDuration::from_millis(20)).unwrap());
     cfg.slo = Some(SimDuration::from_millis(1));
-    let a = run_memcached(&cfg).metrics.to_json();
-    let b = run_memcached(&cfg).metrics.to_json();
+    let a = run(&cfg).metrics.to_json();
+    let b = run(&cfg).metrics.to_json();
     assert_eq!(a, b);
     assert!(!a.contains("control."), "uncontrolled runs must not emit control metrics");
 }
@@ -130,8 +129,8 @@ fn memcached_checkpoint_roundtrip_is_bit_identical() {
     assert_checkpoint_roundtrip("memcached", |ckpt, mode| {
         let mut cfg = cfg.clone();
         cfg.mode = mode;
-        let r = try_run_memcached_with(&cfg, ckpt).expect("golden memcached run");
-        (r.metrics.to_json(), r.completed_at, ())
+        let r = try_run(&cfg, ckpt).expect("golden memcached run");
+        (r.metrics.to_json(), r.summary.completed_at, ())
     });
 }
 
@@ -142,8 +141,8 @@ fn partition_aggregate_checkpoint_roundtrip_is_bit_identical() {
     assert_checkpoint_roundtrip("partition_aggregate", |ckpt, mode| {
         let mut cfg = base.clone();
         cfg.mode = mode;
-        let r = try_run_partition_aggregate_with(&cfg, ckpt).expect("golden pa run");
-        (r.metrics.to_json(), r.completed_at, ())
+        let r = try_run(&cfg, ckpt).expect("golden pa run");
+        (r.metrics.to_json(), r.summary.completed_at, ())
     });
 }
 
@@ -157,8 +156,8 @@ fn checkpointed_run_under_faults_restores_bit_identically() {
     assert_checkpoint_roundtrip("memcached_faults", |ckpt, mode| {
         let mut cfg = base.clone();
         cfg.mode = mode;
-        let r = try_run_memcached_with(&cfg, ckpt).expect("golden faulted run");
-        (r.metrics.to_json(), r.completed_at, ())
+        let r = try_run(&cfg, ckpt).expect("golden faulted run");
+        (r.metrics.to_json(), r.summary.completed_at, ())
     });
 }
 
@@ -166,11 +165,11 @@ fn checkpointed_run_under_faults_restores_bit_identically() {
 fn restore_rejects_a_mismatched_cluster_shape() {
     let snap = ckpt_dir("shape_mismatch").join("two_rack.snap");
     let cfg = McExperimentConfig::mini(2, 30);
-    warm_memcached(&cfg, &snap, SimTime::from_micros(200)).expect("warm");
+    warm(&cfg, &snap, SimTime::from_micros(200)).expect("warm");
     let mut other = McExperimentConfig::mini(4, 30);
     other.mode = RunMode::Serial;
     let ckpt = CheckpointPolicy { save: None, restore_from: Some(snap) };
-    let err = try_run_memcached_with(&other, &ckpt).expect_err("shape mismatch must fail");
+    let err = try_run(&other, &ckpt).expect_err("shape mismatch must fail");
     assert!(err.to_string().contains("fingerprint"), "unexpected error: {err}");
 }
 
@@ -197,7 +196,7 @@ fn warm_once_restore_many_beats_cold_reruns() {
         .iter()
         .map(|&p| {
             let r = try_run_memcached(&make(p)).expect("cold point");
-            (r.metrics.to_json(), r.completed_at)
+            (r.metrics.to_json(), r.summary.completed_at)
         })
         .collect();
     let cold_elapsed = cold_started.elapsed();
@@ -207,13 +206,11 @@ fn warm_once_restore_many_beats_cold_reruns() {
     let warm_at = SimTime::from_picos(cold[0].1.as_picos() * 7 / 10);
     let snap = ckpt_dir("warm_sweep").join("warm.snap");
     let warmed_started = std::time::Instant::now();
-    warm_memcached(&base, &snap, warm_at).expect("warm prefix");
+    warm(&base, &snap, warm_at).expect("warm prefix");
     let ckpt = CheckpointPolicy { save: None, restore_from: Some(snap) };
     let warmed: Vec<String> = points
         .iter()
-        .map(|&p| {
-            try_run_memcached_with(&make(p), &ckpt).expect("restored point").metrics.to_json()
-        })
+        .map(|&p| try_run(&make(p), &ckpt).expect("restored point").metrics.to_json())
         .collect();
     let warmed_elapsed = warmed_started.elapsed();
 

@@ -3,7 +3,7 @@
 //! spares, drain-and-rejoin after reboot, and the latency bounds the
 //! configuration promises.
 
-use diablo_core::{run_memcached, ArrivalSpec, ControlConfig, FaultPlan, McExperimentConfig};
+use diablo_core::{run, ArrivalSpec, ControlConfig, FaultPlan, McExperimentConfig};
 use diablo_engine::prelude::SimDuration;
 
 fn controlled_mc(horizon_ms: u64) -> McExperimentConfig {
@@ -24,8 +24,8 @@ fn crashed_replica_is_replaced_within_the_configured_window() {
     // round trip, not the detection threshold.
     let mut cfg = controlled_mc(60);
     cfg.faults = Some(FaultPlan::parse("10ms node-crash node0").unwrap());
-    let r = run_memcached(&cfg);
-    let ctl = r.control.expect("control report");
+    let r = run(&cfg);
+    let ctl = r.summary.control.expect("control report");
     assert!(ctl.detections >= 1, "silent replica never declared dead");
     assert_eq!(ctl.failovers, 1, "exactly one spare activation");
     assert_eq!(ctl.replicas, vec![(0, 2, 2)], "fleet restored to full strength");
@@ -44,8 +44,8 @@ fn rebooted_replica_rejoins_as_a_drained_spare() {
     // drained (deactivated) rather than serve alongside its replacement.
     let mut cfg = controlled_mc(80);
     cfg.faults = Some(FaultPlan::parse("10ms node-crash node0 reboot=20ms").unwrap());
-    let r = run_memcached(&cfg);
-    let ctl = r.control.expect("control report");
+    let r = run(&cfg);
+    let ctl = r.summary.control.expect("control report");
     assert!(ctl.detections >= 1);
     assert_eq!(ctl.failovers, 1);
     assert!(ctl.rejoins >= 1, "the rebooted node's heartbeats must re-admit it");
@@ -61,19 +61,19 @@ fn slo_recovers_after_failover_instead_of_degrading_forever() {
     // window.
     let mut cfg = controlled_mc(100);
     cfg.faults = Some(FaultPlan::parse("20ms node-crash node0").unwrap());
-    let r = run_memcached(&cfg);
-    let ctl = r.control.expect("control report");
+    let r = run(&cfg);
+    let ctl = r.summary.control.expect("control report");
     assert_eq!(ctl.failovers, 1);
     // The detection window (11 ms dead threshold + command round trip)
     // is ~15% of the run; requests lost to the dead replica are bounded
     // by the traffic share it absorbed during that window, with slack.
-    let lost_frac = r.timed_out as f64 / r.offered.max(1) as f64;
+    let lost_frac = r.summary.timed_out as f64 / r.summary.offered.max(1) as f64;
     assert!(
         lost_frac < 0.15,
         "timed-out fraction {lost_frac:.3} not confined to the detection window"
     );
     // And the fleet kept serving: nearly all admissions completed.
-    assert!(r.slo.completed > r.offered * 8 / 10);
+    assert!(r.slo.completed > r.summary.offered * 8 / 10);
 }
 
 #[test]
@@ -84,8 +84,8 @@ fn suspect_then_recovery_raises_no_failover() {
     // nothing.
     let mut cfg = controlled_mc(50);
     cfg.faults = Some(FaultPlan::parse("10ms link-down node0\n17ms link-up node0").unwrap());
-    let r = run_memcached(&cfg);
-    let ctl = r.control.expect("control report");
+    let r = run(&cfg);
+    let ctl = r.summary.control.expect("control report");
     assert!(ctl.suspicions >= 1, "a 7 ms silence must raise suspicion");
     assert_eq!(ctl.detections, 0, "flap shorter than the dead threshold");
     assert_eq!(ctl.failovers, 0, "no placement change on a false positive");

@@ -5,7 +5,7 @@
 //! degrades the run without bound (the static server list keeps
 //! steering admissions at dead endpoints forever).
 
-use diablo_core::{run_memcached, ArrivalSpec, ControlConfig, FaultPlan, McExperimentConfig};
+use diablo_core::{run, ArrivalSpec, ControlConfig, FaultPlan, McExperimentConfig};
 use diablo_engine::prelude::SimDuration;
 
 /// Three racks of the mini shape under a steady open-loop trace.
@@ -32,7 +32,7 @@ fn control_plane_bounds_slo_damage_from_a_rolling_crash() {
     // Baseline: control plane on, no faults.
     let mut baseline = base_cfg();
     baseline.control = Some(ControlConfig::default());
-    let rb = run_memcached(&baseline);
+    let rb = run(&baseline);
     let frac_baseline = rb.slo.violation_fraction();
 
     // Same trace and crash wave, control plane on: every serving
@@ -40,8 +40,8 @@ fn control_plane_bounds_slo_damage_from_a_rolling_crash() {
     let mut on = base_cfg();
     on.control = Some(ControlConfig::default());
     on.faults = Some(rolling_crash_all_servers());
-    let ron = run_memcached(&on);
-    let ctl = ron.control.expect("control report");
+    let ron = run(&on);
+    let ctl = ron.summary.control.expect("control report");
     assert_eq!(ctl.failovers, 3, "each crashed replica must fail over to a spare");
     assert!(ctl.detections >= 3);
     assert_eq!(ctl.replicas, vec![(0, 3, 3)], "fleet back at full strength");
@@ -52,8 +52,8 @@ fn control_plane_bounds_slo_damage_from_a_rolling_crash() {
     // the rest of the run.
     let mut off = base_cfg();
     off.faults = Some(rolling_crash_all_servers());
-    let roff = run_memcached(&off);
-    assert!(roff.control.is_none());
+    let roff = run(&off);
+    assert!(roff.summary.control.is_none());
     let frac_off = roff.slo.violation_fraction();
 
     // The recovery claim, with generous margins: damage with the
@@ -73,9 +73,9 @@ fn control_plane_bounds_slo_damage_from_a_rolling_crash() {
     // The controlled fleet keeps completing real work after the wave;
     // the uncontrolled one answers nothing once all replicas are dead.
     assert!(
-        ron.latency.count() > roff.latency.count(),
+        ron.summary.latency.count() > roff.summary.latency.count(),
         "control plane must preserve completions: on={} off={}",
-        ron.latency.count(),
-        roff.latency.count()
+        ron.summary.latency.count(),
+        roff.summary.latency.count()
     );
 }

@@ -47,7 +47,7 @@ fn build_rack(n: usize) -> Rack {
 
 /// Installs a memcached server (dispatcher + workers) on node 0 and
 /// `clients` clients on the remaining nodes; returns per-client completion.
-fn run_memcached(
+fn run(
     version: McVersion,
     proto: Proto,
     clients: usize,
@@ -90,7 +90,7 @@ fn run_memcached(
 
 #[test]
 fn tcp_memcached_serves_all_clients() {
-    let (completed, served, p99s) = run_memcached(McVersion::V1_4_17, Proto::Tcp, 3, 60);
+    let (completed, served, p99s) = run(McVersion::V1_4_17, Proto::Tcp, 3, 60);
     assert_eq!(completed, vec![60, 60, 60]);
     assert_eq!(served, 180);
     for p99 in p99s {
@@ -101,7 +101,7 @@ fn tcp_memcached_serves_all_clients() {
 
 #[test]
 fn udp_memcached_serves_all_clients() {
-    let (completed, served, _) = run_memcached(McVersion::V1_4_17, Proto::Udp, 3, 60);
+    let (completed, served, _) = run(McVersion::V1_4_17, Proto::Udp, 3, 60);
     assert_eq!(completed, vec![60, 60, 60]);
     // Served >= completed (retries can duplicate work).
     assert!(served >= 180);
@@ -111,7 +111,7 @@ fn udp_memcached_serves_all_clients() {
 fn old_version_pays_extra_syscall_per_connection() {
     // Both versions serve correctly; 1.4.15 issues one extra fcntl per
     // accepted connection.
-    let (completed_old, ..) = run_memcached(McVersion::V1_4_15, Proto::Tcp, 2, 30);
+    let (completed_old, ..) = run(McVersion::V1_4_15, Proto::Tcp, 2, 30);
     assert_eq!(completed_old, vec![30, 30]);
 }
 

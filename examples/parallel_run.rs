@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example parallel_run`
 
-use diablo::core::{run_memcached, McExperimentConfig, RunMode};
+use diablo::core::{run, McExperimentConfig, RunMode};
 use diablo::stack::process::Proto;
 
 fn main() {
@@ -15,12 +15,12 @@ fn main() {
 
     let mut serial = base.clone();
     serial.mode = RunMode::Serial;
-    let s = run_memcached(&serial);
+    let s = run(&serial);
     println!(
         "serial:     {:>9} events, {:>7} requests, p99 {:>8.1} us, wall {:.3}s",
         s.events,
-        s.latency.count(),
-        s.latency.quantile(0.99) as f64 / 1e3,
+        s.summary.latency.count(),
+        s.summary.latency.quantile(0.99) as f64 / 1e3,
         s.wall.as_secs_f64()
     );
 
@@ -29,17 +29,21 @@ fn main() {
     // (store-and-forward GbE: min-frame serialization + propagation).
     let mut parallel = base;
     parallel.mode = RunMode::parallel(4);
-    let p = run_memcached(&parallel);
+    let p = run(&parallel);
     println!(
         "parallel x4:{:>9} events, {:>7} requests, p99 {:>8.1} us, wall {:.3}s",
         p.events,
-        p.latency.count(),
-        p.latency.quantile(0.99) as f64 / 1e3,
+        p.summary.latency.count(),
+        p.summary.latency.quantile(0.99) as f64 / 1e3,
         p.wall.as_secs_f64()
     );
 
     assert_eq!(s.events, p.events, "event counts must match");
-    assert_eq!(s.latency.quantile(0.99), p.latency.quantile(0.99), "results must match");
+    assert_eq!(
+        s.summary.latency.quantile(0.99),
+        p.summary.latency.quantile(0.99),
+        "results must match"
+    );
     println!("\nserial and parallel runs are bit-identical — deterministic, repeatable");
     println!("experiments are a core DIABLO property (the FPGA prototype has it too).");
 }

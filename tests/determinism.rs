@@ -114,47 +114,52 @@ fn large_cluster_parallel_multiworker_matches_serial() {
 
 #[test]
 fn incast_conforms_across_partitionings() {
-    use diablo::core::{run_incast, IncastConfig};
-    let run = |mode: RunMode| {
+    use diablo::core::{run, IncastConfig};
+    let outcome = |mode: RunMode| {
         let mut cfg = IncastConfig::fig6a(8);
         cfg.iterations = 3;
         cfg.racks = 4;
         cfg.mode = mode;
-        let r = run_incast(&cfg);
-        (r.goodput_mbps.to_bits(), r.iteration_times, r.switch_drops, r.events)
+        let r = run(&cfg);
+        (
+            r.summary.goodput_mbps.to_bits(),
+            r.summary.iteration_times,
+            r.summary.switch_drops,
+            r.events,
+        )
     };
-    let reference = run(RunMode::Serial);
+    let reference = outcome(RunMode::Serial);
     for partitions in [1usize, 2, 4, 8] {
-        let got = run(RunMode::parallel(partitions));
+        let got = outcome(RunMode::parallel(partitions));
         assert_eq!(reference, got, "incast diverged at {partitions} partitions");
     }
 }
 
 #[test]
 fn memcached_conforms_across_partitionings() {
-    use diablo::core::{run_memcached, McExperimentConfig};
-    let run = |mode: RunMode| {
+    use diablo::core::{run, McExperimentConfig};
+    let outcome = |mode: RunMode| {
         let mut cfg = McExperimentConfig::mini(4, 15);
         cfg.mode = mode;
-        let r = run_memcached(&cfg);
+        let r = run(&cfg);
         // Note: `final_time` is not compared — the parallel executor's
         // run_until reports the cap even when the queue drains early, which
         // is a clock-reporting difference, not a simulation one. Everything
         // event-derived must be identical.
         (
-            r.completed_at,
-            r.latency.count(),
-            r.latency.quantile(0.5),
-            r.latency.quantile(0.99),
-            r.served,
-            r.udp_retries,
-            r.failures,
+            r.summary.completed_at,
+            r.summary.latency.count(),
+            r.summary.latency.quantile(0.5),
+            r.summary.latency.quantile(0.99),
+            r.summary.served,
+            r.summary.udp_retries,
+            r.summary.failures,
             r.events,
         )
     };
-    let reference = run(RunMode::Serial);
+    let reference = outcome(RunMode::Serial);
     for partitions in [1usize, 2, 4, 8] {
-        let got = run(RunMode::parallel(partitions));
+        let got = outcome(RunMode::parallel(partitions));
         assert_eq!(reference, got, "memcached diverged at {partitions} partitions");
     }
 }
@@ -165,8 +170,8 @@ fn memcached_conforms_across_partitionings() {
 /// compared as serialized JSON bytes.
 #[test]
 fn incast_fault_schedule_conforms_across_partitionings() {
-    use diablo::core::{run_incast, FaultPlan, IncastConfig};
-    let run = |mode: RunMode| {
+    use diablo::core::{run, FaultPlan, IncastConfig};
+    let outcome = |mode: RunMode| {
         let mut cfg = IncastConfig::fig6a(8);
         cfg.iterations = 3;
         cfg.racks = 4;
@@ -174,12 +179,12 @@ fn incast_fault_schedule_conforms_across_partitionings() {
         cfg.faults = Some(
             FaultPlan::parse("10ms link-down node1\n510ms link-up node1").expect("valid plan"),
         );
-        let r = run_incast(&cfg);
-        (r.metrics.to_json(), r.events, r.iteration_times, r.switch_drops)
+        let r = run(&cfg);
+        (r.metrics.to_json(), r.events, r.summary.iteration_times, r.summary.switch_drops)
     };
-    let reference = run(RunMode::Serial);
+    let reference = outcome(RunMode::Serial);
     for partitions in [2usize, 4] {
-        let got = run(RunMode::parallel(partitions));
+        let got = outcome(RunMode::parallel(partitions));
         assert_eq!(
             reference.1, got.1,
             "event count diverged under faults at {partitions} partitions"
@@ -193,21 +198,21 @@ fn incast_fault_schedule_conforms_across_partitionings() {
 /// mid-run server-uplink outage.
 #[test]
 fn memcached_fault_schedule_conforms_across_partitionings() {
-    use diablo::core::{run_memcached, FaultPlan, McExperimentConfig};
-    let run = |mode: RunMode| {
+    use diablo::core::{run, FaultPlan, McExperimentConfig};
+    let outcome = |mode: RunMode| {
         let mut cfg = McExperimentConfig::mini(4, 30);
         cfg.proto = diablo::stack::process::Proto::Tcp;
         cfg.request_deadline = Some(SimDuration::from_millis(10));
         cfg.faults =
             Some(FaultPlan::parse("1ms link-down node0\n51ms link-up node0").expect("valid plan"));
         cfg.mode = mode;
-        let r = run_memcached(&cfg);
-        (r.metrics.to_json(), r.completed_at, r.events, r.failure)
+        let r = run(&cfg);
+        (r.metrics.to_json(), r.summary.completed_at, r.events, r.failure)
     };
-    let reference = run(RunMode::Serial);
+    let reference = outcome(RunMode::Serial);
     assert!(reference.3.failed > 0, "the outage must be visible in the reference run");
     for partitions in [2usize, 4] {
-        let got = run(RunMode::parallel(partitions));
+        let got = outcome(RunMode::parallel(partitions));
         assert_eq!(reference, got, "faulted memcached diverged at {partitions} partitions");
     }
 }
@@ -217,27 +222,27 @@ fn memcached_fault_schedule_conforms_across_partitionings() {
 /// cross-partition delivery shows up as a different metric scrape.
 #[test]
 fn partition_aggregate_conforms_across_partitionings() {
-    use diablo::core::{run_partition_aggregate, PaExperimentConfig};
-    let run = |mode: RunMode| {
+    use diablo::core::{run, PaExperimentConfig};
+    let outcome = |mode: RunMode| {
         let mut cfg = PaExperimentConfig::new(4, 10);
         cfg.cross_rack = true;
         cfg.mode = mode;
-        let r = run_partition_aggregate(&cfg);
+        let r = run(&cfg);
         (
             r.metrics.to_json(),
             r.events,
-            r.queries,
-            r.full_aggregates,
-            r.deadline_misses,
-            r.missing_answers,
-            r.served,
-            r.completed_at,
+            r.summary.queries,
+            r.summary.full_aggregates,
+            r.summary.deadline_misses,
+            r.summary.missing_answers,
+            r.summary.served,
+            r.summary.completed_at,
         )
     };
-    let reference = run(RunMode::Serial);
+    let reference = outcome(RunMode::Serial);
     assert_eq!(reference.2, 40, "4 front-ends x 10 queries");
     for partitions in [2usize, 4] {
-        let got = run(RunMode::parallel(partitions));
+        let got = outcome(RunMode::parallel(partitions));
         assert_eq!(reference.1, got.1, "event count diverged at {partitions} partitions");
         assert_eq!(reference, got, "partition-aggregate diverged at {partitions} partitions");
     }
@@ -247,19 +252,25 @@ fn partition_aggregate_conforms_across_partitionings() {
 /// land on exactly the same queries in serial and parallel runs.
 #[test]
 fn partition_aggregate_fault_schedule_conforms_across_partitionings() {
-    use diablo::core::{run_partition_aggregate, FaultPlan, PaExperimentConfig};
-    let run = |mode: RunMode| {
+    use diablo::core::{run, FaultPlan, PaExperimentConfig};
+    let outcome = |mode: RunMode| {
         let mut cfg = PaExperimentConfig::new(2, 40);
         cfg.faults =
             Some(FaultPlan::parse("1ms link-down node1\n4ms link-up node1").expect("valid plan"));
         cfg.mode = mode;
-        let r = run_partition_aggregate(&cfg);
-        (r.metrics.to_json(), r.events, r.deadline_misses, r.missing_answers, r.completed_at)
+        let r = run(&cfg);
+        (
+            r.metrics.to_json(),
+            r.events,
+            r.summary.deadline_misses,
+            r.summary.missing_answers,
+            r.summary.completed_at,
+        )
     };
-    let reference = run(RunMode::Serial);
+    let reference = outcome(RunMode::Serial);
     assert!(reference.2 > 0, "the outage must be visible in the reference run");
     for partitions in [2usize, 4] {
-        let got = run(RunMode::parallel(partitions));
+        let got = outcome(RunMode::parallel(partitions));
         assert_eq!(
             reference, got,
             "faulted partition-aggregate diverged at {partitions} partitions"
@@ -269,24 +280,30 @@ fn partition_aggregate_fault_schedule_conforms_across_partitionings() {
 
 #[test]
 fn memcached_experiment_is_deterministic() {
-    use diablo::core::{run_memcached, McExperimentConfig};
-    let run = || {
+    use diablo::core::{run, McExperimentConfig};
+    let outcome = || {
         let cfg = McExperimentConfig::mini(2, 25);
-        let r = run_memcached(&cfg);
-        (r.latency.count(), r.latency.quantile(0.5), r.latency.quantile(0.99), r.served, r.events)
+        let r = run(&cfg);
+        (
+            r.summary.latency.count(),
+            r.summary.latency.quantile(0.5),
+            r.summary.latency.quantile(0.99),
+            r.summary.served,
+            r.events,
+        )
     };
-    assert_eq!(run(), run());
+    assert_eq!(outcome(), outcome());
 }
 
 #[test]
 fn seeds_change_results() {
-    use diablo::core::{run_memcached, McExperimentConfig};
-    let run = |seed: u64| {
+    use diablo::core::{run, McExperimentConfig};
+    let outcome = |seed: u64| {
         let mut cfg = McExperimentConfig::mini(2, 25);
         cfg.seed = seed;
-        run_memcached(&cfg).events
+        run(&cfg).events
     };
-    assert_ne!(run(1), run(2), "different seeds must explore different schedules");
+    assert_ne!(outcome(1), outcome(2), "different seeds must explore different schedules");
 }
 
 /// The open-loop contract: rate-driven admissions ride ordinary kernel
@@ -296,13 +313,13 @@ fn seeds_change_results() {
 /// 2/4-partition execution, and every SLO/shed/offered count must match.
 #[test]
 fn open_loop_memcached_conforms_across_partitionings() {
-    use diablo::core::{run_memcached, ArrivalSpec, FaultPlan, McExperimentConfig};
+    use diablo::core::{run, ArrivalSpec, FaultPlan, McExperimentConfig};
     let text =
         std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/diurnal.arrv"))
             .expect("bundled diurnal scenario");
     let spec = ArrivalSpec::parse(&text).expect("bundled scenario must parse");
     for flap in [false, true] {
-        let run = |mode: RunMode| {
+        let outcome = |mode: RunMode| {
             let mut cfg = McExperimentConfig::mini(2, 0);
             cfg.arrival = Some(spec.clone());
             cfg.slo = Some(SimDuration::from_micros(500));
@@ -313,14 +330,21 @@ fn open_loop_memcached_conforms_across_partitionings() {
                         .expect("valid plan"),
                 );
             }
-            let r = run_memcached(&cfg);
-            assert!(r.offered > 0, "diurnal profile must admit load");
-            assert_eq!(r.offered, r.slo.completed + r.slo.shed, "admission accounting");
-            (r.metrics.to_json(), r.offered, r.timed_out, r.slo, r.failure, r.events)
+            let r = run(&cfg);
+            assert!(r.summary.offered > 0, "diurnal profile must admit load");
+            assert_eq!(r.summary.offered, r.slo.completed + r.slo.shed, "admission accounting");
+            (
+                r.metrics.to_json(),
+                r.summary.offered,
+                r.summary.timed_out,
+                r.slo,
+                r.failure,
+                r.events,
+            )
         };
-        let reference = run(RunMode::Serial);
+        let reference = outcome(RunMode::Serial);
         for partitions in [2usize, 4] {
-            let got = run(RunMode::parallel(partitions));
+            let got = outcome(RunMode::parallel(partitions));
             assert_eq!(
                 reference, got,
                 "open-loop memcached (flap={flap}) diverged at {partitions} partitions"
@@ -334,13 +358,13 @@ fn open_loop_memcached_conforms_across_partitionings() {
 /// serial and partitioned executors must agree byte for byte.
 #[test]
 fn open_loop_partition_aggregate_conforms_across_partitionings() {
-    use diablo::core::{run_partition_aggregate, ArrivalSpec, FaultPlan, PaExperimentConfig};
+    use diablo::core::{run, ArrivalSpec, FaultPlan, PaExperimentConfig};
     let text =
         std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/diurnal.arrv"))
             .expect("bundled diurnal scenario");
     let spec = ArrivalSpec::parse(&text).expect("bundled scenario must parse");
     for flap in [false, true] {
-        let run = |mode: RunMode| {
+        let outcome = |mode: RunMode| {
             let mut cfg = PaExperimentConfig::new(2, 0);
             cfg.arrival = Some(spec.clone());
             cfg.slo = Some(SimDuration::from_micros(800));
@@ -351,13 +375,13 @@ fn open_loop_partition_aggregate_conforms_across_partitionings() {
                         .expect("valid plan"),
                 );
             }
-            let r = run_partition_aggregate(&cfg);
-            assert!(r.offered > 0, "diurnal profile must admit load");
-            (r.metrics.to_json(), r.offered, r.queries, r.slo, r.failure, r.events)
+            let r = run(&cfg);
+            assert!(r.summary.offered > 0, "diurnal profile must admit load");
+            (r.metrics.to_json(), r.summary.offered, r.summary.queries, r.slo, r.failure, r.events)
         };
-        let reference = run(RunMode::Serial);
+        let reference = outcome(RunMode::Serial);
         for partitions in [2usize, 4] {
-            let got = run(RunMode::parallel(partitions));
+            let got = outcome(RunMode::parallel(partitions));
             assert_eq!(
                 reference, got,
                 "open-loop partition-aggregate (flap={flap}) diverged at {partitions} partitions"
@@ -453,20 +477,25 @@ fn ecmp_path_choice_is_a_pure_function_of_flow_and_seed() {
 /// hashing means path choice cannot depend on partition scheduling.
 #[test]
 fn fat_tree_incast_conforms_across_partitionings() {
-    use diablo::core::{run_incast, IncastConfig};
+    use diablo::core::{run, IncastConfig};
     use diablo::stack::profile::CongestionControl;
     for cc in [CongestionControl::Reno, CongestionControl::Dctcp] {
-        let run = |mode: RunMode| {
+        let outcome = |mode: RunMode| {
             let mut cfg = IncastConfig::fig6a(6).on_fat_tree(FatTreeConfig::new(4));
             cfg.cc = cc;
             cfg.iterations = 2;
             cfg.mode = mode;
-            let r = run_incast(&cfg);
-            (r.metrics.to_json(), r.goodput_mbps.to_bits(), r.iteration_times, r.events)
+            let r = run(&cfg);
+            (
+                r.metrics.to_json(),
+                r.summary.goodput_mbps.to_bits(),
+                r.summary.iteration_times,
+                r.events,
+            )
         };
-        let reference = run(RunMode::Serial);
+        let reference = outcome(RunMode::Serial);
         for partitions in [2usize, 4] {
-            let got = run(RunMode::parallel(partitions));
+            let got = outcome(RunMode::parallel(partitions));
             assert_eq!(
                 reference.1, got.1,
                 "fat-tree incast ({cc:?}) goodput diverged at {partitions} partitions"

@@ -2,7 +2,7 @@
 //! incast collapse, buffer ablation, the latency long tail, hop-class
 //! ordering, and the software-dominates-hardware findings.
 
-use diablo::core::{run_incast, run_memcached, IncastConfig, McExperimentConfig, SwitchTemplate};
+use diablo::core::{run, IncastConfig, McExperimentConfig, SwitchTemplate};
 use diablo::net::switch::BufferConfig;
 use diablo::prelude::*;
 
@@ -12,7 +12,7 @@ fn incast_collapse_and_buffer_ablation() {
     // configurable-buffer claim).
     let mut shallow = IncastConfig::fig6a(8);
     shallow.iterations = 3;
-    let g_shallow = run_incast(&shallow).goodput_mbps;
+    let g_shallow = run(&shallow).summary.goodput_mbps;
 
     let mut deep = IncastConfig::fig6a(8);
     deep.iterations = 3;
@@ -20,7 +20,7 @@ fn incast_collapse_and_buffer_ablation() {
         buffer: BufferConfig::PerPort { bytes_per_port: 1024 * 1024 },
         ..SwitchTemplate::gbe_shallow()
     });
-    let g_deep = run_incast(&deep).goodput_mbps;
+    let g_deep = run(&deep).summary.goodput_mbps;
 
     assert!(g_shallow < 50.0, "shallow buffers must collapse, got {g_shallow:.1} Mbps");
     assert!(g_deep > 500.0, "deep buffers must sustain goodput, got {g_deep:.1} Mbps");
@@ -35,8 +35,12 @@ fn incast_collapse_survives_partition_parallel_execution() {
     cfg.iterations = 3;
     cfg.racks = 4;
     cfg.mode = RunMode::parallel(4);
-    let r = run_incast(&cfg);
-    assert!(r.goodput_mbps < 50.0, "collapse expected in parallel, got {:.1} Mbps", r.goodput_mbps);
+    let r = run(&cfg);
+    assert!(
+        r.summary.goodput_mbps < 50.0,
+        "collapse expected in parallel, got {:.1} Mbps",
+        r.summary.goodput_mbps
+    );
     let exec = r.exec.expect("parallel runs report an execution breakdown");
     assert_eq!(exec.partitions.len(), 4, "one stats row per partition");
     assert!(exec.events() > 0, "execution report must account for events");
@@ -52,7 +56,7 @@ fn slower_cpu_cannot_reach_10g_line_rate() {
             buffer: BufferConfig::PerPort { bytes_per_port: 256 * 1024 },
             ..SwitchTemplate::ten_gbe_fast()
         });
-        run_incast(&cfg).goodput_mbps
+        run(&cfg).summary.goodput_mbps
     };
     let fast = mk(4);
     let slow = mk(2);
@@ -64,30 +68,30 @@ fn slower_cpu_cannot_reach_10g_line_rate() {
 fn memcached_has_a_long_tail_and_hop_ordering() {
     let mut cfg = McExperimentConfig::mini(20, 80);
     cfg.proto = Proto::Udp;
-    let r = run_memcached(&cfg);
-    let p50 = r.latency.quantile(0.5);
-    let max = r.latency.max();
+    let r = run(&cfg);
+    let p50 = r.summary.latency.quantile(0.5);
+    let max = r.summary.latency.max();
     assert!(max > p50 * 20, "long tail expected: p50={p50}ns max={max}ns");
     // Hop classes: local p50 <= 1-hop p50 <= 2-hop p50.
-    let p50s: Vec<u64> = r.by_class.iter().map(|h| h.quantile(0.5)).collect();
-    assert!(r.by_class[0].count() > 0 && r.by_class[2].count() > 0);
+    let p50s: Vec<u64> = r.summary.by_class.iter().map(|h| h.quantile(0.5)).collect();
+    assert!(r.summary.by_class[0].count() > 0 && r.summary.by_class[2].count() > 0);
     assert!(p50s[0] <= p50s[1], "local must beat 1-hop: {p50s:?}");
     assert!(p50s[1] <= p50s[2], "1-hop must beat 2-hop: {p50s:?}");
     // Cross-array traffic dominates (random server selection).
-    assert!(r.by_class[2].count() > r.by_class[0].count());
+    assert!(r.summary.by_class[2].count() > r.summary.by_class[0].count());
 }
 
 #[test]
 fn newer_kernel_improves_latency() {
-    let run = |kernel: KernelProfile| {
+    let outcome = |kernel: KernelProfile| {
         let mut cfg = McExperimentConfig::mini(4, 60);
         cfg.kernel = kernel;
         cfg.ten_gig = true;
-        let r = run_memcached(&cfg);
-        r.latency.quantile(0.5)
+        let r = run(&cfg);
+        r.summary.latency.quantile(0.5)
     };
-    let old = run(KernelProfile::linux_2_6_39());
-    let new = run(KernelProfile::linux_3_5_7());
+    let old = outcome(KernelProfile::linux_2_6_39());
+    let new = outcome(KernelProfile::linux_3_5_7());
     assert!(new < old, "3.5.7 median ({new}ns) must beat 2.6.39 ({old}ns)");
 }
 
@@ -95,14 +99,14 @@ fn newer_kernel_improves_latency() {
 fn network_upgrade_helps_less_than_2x() {
     // §4.2: "the improvement is no more than 2x — the full OS networking
     // stack dominates the request latency."
-    let run = |ten_gig: bool| {
+    let outcome = |ten_gig: bool| {
         let mut cfg = McExperimentConfig::mini(8, 80);
         cfg.ten_gig = ten_gig;
-        let r = run_memcached(&cfg);
-        r.latency.quantile(0.5)
+        let r = run(&cfg);
+        r.summary.latency.quantile(0.5)
     };
-    let g1 = run(false);
-    let g10 = run(true);
+    let g1 = outcome(false);
+    let g10 = outcome(true);
     assert!(g10 < g1, "10G must improve the median");
     let ratio = g1 as f64 / g10 as f64;
     assert!(
@@ -122,16 +126,16 @@ fn network_upgrade_helps_less_than_2x() {
 /// itself and hide all of this.
 #[test]
 fn open_loop_overload_raises_slo_violations_monotonically() {
-    use diablo::core::{run_memcached, ArrivalSpec, McExperimentConfig};
-    let run = |rate: f64| {
+    use diablo::core::{run, ArrivalSpec, McExperimentConfig};
+    let outcome = |rate: f64| {
         let mut cfg = McExperimentConfig::mini(1, 0);
         cfg.arrival =
             Some(ArrivalSpec::poisson(rate, SimDuration::from_millis(40)).expect("valid spec"));
         cfg.slo = Some(SimDuration::from_micros(500));
-        let r = run_memcached(&cfg);
-        assert!(r.offered > 0, "schedule must admit load at {rate} req/s");
+        let r = run(&cfg);
+        assert!(r.summary.offered > 0, "schedule must admit load at {rate} req/s");
         assert_eq!(
-            r.offered,
+            r.summary.offered,
             r.slo.completed + r.slo.shed,
             "every admission must be accounted at {rate} req/s"
         );
@@ -139,9 +143,9 @@ fn open_loop_overload_raises_slo_violations_monotonically() {
     };
     // Per-client rates bracketing the mini-cluster capacity knee
     // (5 clients → 1 server): 0.5x, 1.0x, 1.5x of the saturation point.
-    let (f_low, _) = run(15_000.0);
-    let (f_sat, _) = run(30_000.0);
-    let (f_over, shed_over) = run(45_000.0);
+    let (f_low, _) = outcome(15_000.0);
+    let (f_sat, _) = outcome(30_000.0);
+    let (f_over, shed_over) = outcome(45_000.0);
     assert!(
         f_low < f_sat && f_sat < f_over,
         "violation fraction must rise with offered load: {f_low:.3} -> {f_sat:.3} -> {f_over:.3}"
@@ -158,7 +162,7 @@ fn open_loop_overload_raises_slo_violations_monotonically() {
 /// the periodic `slo.*` counter scrapes.
 #[test]
 fn diurnal_overload_recovers_when_load_drops() {
-    use diablo::core::{run_memcached, ArrivalSpec, McExperimentConfig};
+    use diablo::core::{run, ArrivalSpec, McExperimentConfig};
     let text =
         std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/diurnal.arrv"))
             .expect("bundled diurnal scenario");
@@ -167,7 +171,7 @@ fn diurnal_overload_recovers_when_load_drops() {
     cfg.arrival = Some(spec);
     cfg.slo = Some(SimDuration::from_micros(500));
     cfg.sample_every = Some(SimDuration::from_millis(5));
-    let r = run_memcached(&cfg);
+    let r = run(&cfg);
     let series = r.series.expect("sample_every must produce a series");
 
     // Sum the per-client cumulative counters into cluster-wide
@@ -225,7 +229,7 @@ fn diurnal_overload_recovers_when_load_drops() {
 /// tail latency two orders of magnitude apart on identical hardware.
 #[test]
 fn dctcp_tames_fat_tree_incast_that_collapses_under_reno() {
-    let run = |cc: CongestionControl| {
+    let outcome = |cc: CongestionControl| {
         let mut cfg = IncastConfig::fig6a(12).on_fat_tree(FatTreeConfig::new(4));
         cfg.cc = cc;
         cfg.iterations = 6;
@@ -235,7 +239,7 @@ fn dctcp_tames_fat_tree_incast_that_collapses_under_reno() {
             buffer: BufferConfig::PerPort { bytes_per_port: 96 * 1024 },
             ..SwitchTemplate::gbe_shallow()
         });
-        let r = run_incast(&cfg);
+        let r = run(&cfg);
         let max_queue = r
             .metrics
             .iter()
@@ -246,12 +250,12 @@ fn dctcp_tames_fat_tree_incast_that_collapses_under_reno() {
             })
             .max()
             .expect("switch queue metrics");
-        let worst = *r.iteration_times.iter().max().expect("iterations ran");
-        (max_queue, worst, r.switch_drops, r.metrics.sum_counters("*.ecn_marked"))
+        let worst = *r.summary.iteration_times.iter().max().expect("iterations ran");
+        (max_queue, worst, r.summary.switch_drops, r.metrics.sum_counters("*.ecn_marked"))
     };
 
-    let (reno_q, reno_worst, reno_drops, reno_marked) = run(CongestionControl::Reno);
-    let (dctcp_q, dctcp_worst, dctcp_drops, dctcp_marked) = run(CongestionControl::Dctcp);
+    let (reno_q, reno_worst, reno_drops, reno_marked) = outcome(CongestionControl::Reno);
+    let (dctcp_q, dctcp_worst, dctcp_drops, dctcp_marked) = outcome(CongestionControl::Dctcp);
 
     // Reno probes until loss: the queue pegs at the buffer and the
     // synchronized losses turn into RTO-scale iterations.
