@@ -405,23 +405,10 @@ impl SloStats {
     }
 }
 
-use diablo_engine::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
-impl Snap for ArrivalKind {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            ArrivalKind::Constant => 0,
-            ArrivalKind::Poisson => 1,
-        });
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.take_u64()? {
-            0 => Ok(ArrivalKind::Constant),
-            1 => Ok(ArrivalKind::Poisson),
-            tag => Err(SnapError::Tag { what: "ArrivalKind", tag }),
-        }
-    }
-}
+diablo_engine::impl_snap_enum!(ArrivalKind {
+    0 => Constant,
+    1 => Poisson,
+});
 
 diablo_engine::impl_snap_struct!(ArrivalPhase { duration, kind, rate });
 diablo_engine::impl_snap_struct!(ArrivalSpec { phases });

@@ -1187,24 +1187,11 @@ impl Process for ControlAgent {
 
 use diablo_engine::snap::{Persist, Snap, SnapError, SnapReader, SnapWriter};
 
-impl Snap for Health {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            Health::Alive => 0,
-            Health::Suspect => 1,
-            Health::Dead => 2,
-        });
-    }
-
-    fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => Health::Alive,
-            1 => Health::Suspect,
-            2 => Health::Dead,
-            tag => return Err(SnapError::Tag { what: "control Health", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(Health {
+    0 => Alive,
+    1 => Suspect,
+    2 => Dead,
+});
 
 diablo_engine::impl_snap_struct!(NodeHealth { last_hb, dead_at, state });
 
@@ -1218,73 +1205,32 @@ diablo_engine::impl_snap_struct!(PendingCmd {
     failover_from
 });
 
-impl Snap for CpState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            CpState::Start => 0,
-            CpState::Socketed => 1,
-            CpState::NbSet => 2,
-            CpState::Bound => 3,
-            CpState::EpollCreated => 4,
-            CpState::Registered => 5,
-            CpState::Pump => 6,
-            CpState::SendDone => 7,
-            CpState::Waiting => 8,
-            CpState::Drain => 9,
-        });
-    }
+diablo_engine::impl_snap_enum!(CpState {
+    0 => Start,
+    1 => Socketed,
+    2 => NbSet,
+    3 => Bound,
+    4 => EpollCreated,
+    5 => Registered,
+    6 => Pump,
+    7 => SendDone,
+    8 => Waiting,
+    9 => Drain,
+});
 
-    fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => CpState::Start,
-            1 => CpState::Socketed,
-            2 => CpState::NbSet,
-            3 => CpState::Bound,
-            4 => CpState::EpollCreated,
-            5 => CpState::Registered,
-            6 => CpState::Pump,
-            7 => CpState::SendDone,
-            8 => CpState::Waiting,
-            9 => CpState::Drain,
-            tag => return Err(SnapError::Tag { what: "control CpState", tag }),
-        })
-    }
-}
-
-impl Snap for AgState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            AgState::Start => 0,
-            AgState::Socketed => 1,
-            AgState::NbSet => 2,
-            AgState::Bound => 3,
-            AgState::EpollCreated => 4,
-            AgState::Registered => 5,
-            AgState::Pump => 6,
-            AgState::SendDone => 7,
-            AgState::WakeDone => 8,
-            AgState::Waiting => 9,
-            AgState::Drain => 10,
-        });
-    }
-
-    fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => AgState::Start,
-            1 => AgState::Socketed,
-            2 => AgState::NbSet,
-            3 => AgState::Bound,
-            4 => AgState::EpollCreated,
-            5 => AgState::Registered,
-            6 => AgState::Pump,
-            7 => AgState::SendDone,
-            8 => AgState::WakeDone,
-            9 => AgState::Waiting,
-            10 => AgState::Drain,
-            tag => return Err(SnapError::Tag { what: "control AgState", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(AgState {
+    0 => Start,
+    1 => Socketed,
+    2 => NbSet,
+    3 => Bound,
+    4 => EpollCreated,
+    5 => Registered,
+    6 => Pump,
+    7 => SendDone,
+    8 => WakeDone,
+    9 => Waiting,
+    10 => Drain,
+});
 
 impl Persist for ControlPlane {
     // `cfg` and `port` are rebuilt; each ServiceState's `spec` is config

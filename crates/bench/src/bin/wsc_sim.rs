@@ -14,6 +14,7 @@
 use diablo_apps::memcached::McVersion;
 use diablo_bench::{banner, cc, fabric, parallel_mode, results_dir, write_metrics_artifacts, Args};
 use diablo_core::report::percentiles_us;
+use diablo_core::snapshot::SnapshotError;
 use diablo_core::sweep::parse_duration;
 use diablo_core::{
     try_run, warm, ArrivalSpec, CheckpointPolicy, ControlConfig, ControlReport, Experiment,
@@ -430,13 +431,16 @@ fn subcommand<E: Subcommand>(args: &Args) {
     cfg.describe();
     println!("fabric: {}, congestion control: {}", fabric_desc(&shared.fabric), shared.cc.name());
     print_checkpoint(&ckpt);
-    // A config the library cannot realise is a command-line error (exit
-    // 2); a run that fails (snapshot validation, unreachable checkpoint
-    // instants, budget exhaustion) exits 1.
+    // A config the library cannot realise, or a `--restore` file whose
+    // contents fail validation (corrupt, truncated, another version or
+    // shape), is a command-line error (exit 2); a run that fails
+    // (unreachable checkpoint instants, budget exhaustion) exits 1.
     let run = try_run(&cfg, &ckpt).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         let code = match e {
-            ExperimentError::ServicePoolTooLarge { .. } | ExperimentError::Config(_) => 2,
+            ExperimentError::ServicePoolTooLarge { .. }
+            | ExperimentError::Config(_)
+            | ExperimentError::Snapshot(SnapshotError::Decode { .. }) => 2,
             _ => 1,
         };
         std::process::exit(code);

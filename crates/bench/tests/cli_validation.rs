@@ -528,7 +528,7 @@ fn restoring_a_corrupt_snapshot_fails_loudly() {
         .output()
         .expect("spawn wsc_sim");
     assert!(!out.status.success(), "a corrupt snapshot must exit non-zero");
-    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr(&out));
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
     assert!(stderr(&out).contains("snapshot"), "stderr: {}", stderr(&out));
 }
 
@@ -569,6 +569,7 @@ fn restoring_into_a_different_shape_is_rejected() {
         .output()
         .expect("spawn wsc_sim");
     assert!(!out.status.success(), "a shape-mismatched restore must exit non-zero");
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
     assert!(stderr(&out).contains("fingerprint"), "stderr: {}", stderr(&out));
 }
 

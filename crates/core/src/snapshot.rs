@@ -21,7 +21,12 @@
 //! fingerprint u64      structural hash; mismatch => SnapError::Fingerprint
 //! drive       DriveState (harness horizon, sample cursor, series)
 //! executor    SimHost::save_state (common serial/parallel format)
+//! checksum    u64      FNV-1a of every preceding byte; mismatch => SnapError::Checksum
 //! ```
+//!
+//! The checksum is verified before any state is loaded, so a flipped bit
+//! or a truncated file fails loudly instead of restoring a silently
+//! different run.
 //!
 //! The fingerprint covers *structure only* — topology shape, fabric
 //! kind, workload name — never sweepable knobs, so a checkpoint warmed
@@ -40,23 +45,22 @@ pub const SNAP_MAGIC: [u8; 8] = *b"DIABSNAP";
 
 /// Format version this build writes and reads. Bump on any layout
 /// change; restore rejects other versions with [`SnapError::Version`].
-pub const SNAP_VERSION: u32 = 1;
+pub const SNAP_VERSION: u32 = 2;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step per byte, continuing from `h`.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, b| (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
 
 /// FNV-1a over the structural description strings, the cheap stable
 /// hash used for the header fingerprint. Not cryptographic — it guards
 /// against honest shape mismatches, not adversaries.
 pub fn fingerprint<S: AsRef<str>>(parts: impl IntoIterator<Item = S>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for b in part.as_ref().as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        // Separator step so ["ab","c"] and ["a","bc"] differ.
-        h ^= 0xff;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    // The separator byte after each part keeps ["ab","c"] and ["a","bc"]
+    // apart.
+    parts.into_iter().fold(FNV_OFFSET, |h, part| fnv1a(fnv1a(h, part.as_ref().as_bytes()), &[0xff]))
 }
 
 /// The experiment harness's resumable drive position, snapshotted
@@ -76,7 +80,7 @@ pub struct DriveState {
 diablo_engine::impl_snap_struct!(DriveState { horizon, next_sample, series });
 
 /// Serializes `host` plus the harness drive position into a complete
-/// snapshot byte stream (header included).
+/// snapshot byte stream (header and checksum trailer included).
 pub fn encode_snapshot(host: &mut SimHost, fingerprint: u64, drive: &DriveState) -> Vec<u8> {
     let mut w = SnapWriter::new();
     w.put_bytes(&SNAP_MAGIC);
@@ -84,18 +88,23 @@ pub fn encode_snapshot(host: &mut SimHost, fingerprint: u64, drive: &DriveState)
     fingerprint.save(&mut w);
     drive.save(&mut w);
     host.save_state(&mut w);
-    w.into_bytes()
+    let mut bytes = w.into_bytes();
+    let checksum = fnv1a(FNV_OFFSET, &bytes);
+    bytes.extend_from_slice(&checksum.to_le_bytes());
+    bytes
 }
 
 /// Restores a snapshot byte stream into a freshly built,
-/// software-loaded `host`, validating magic, version, and structural
-/// fingerprint before touching any state.
+/// software-loaded `host`, validating magic, version, checksum and
+/// structural fingerprint before touching any state.
 ///
 /// # Errors
 ///
 /// [`SnapError::Malformed`] on bad magic or trailing bytes,
-/// [`SnapError::Version`] / [`SnapError::Fingerprint`] on header
-/// mismatches, and any decode error from the executor payload.
+/// [`SnapError::Version`] / [`SnapError::Checksum`] /
+/// [`SnapError::Fingerprint`] on header and trailer mismatches,
+/// [`SnapError::Eof`] on a file too short to hold them, and any decode
+/// error from the executor payload.
 pub fn decode_snapshot(
     bytes: &[u8],
     host: &mut SimHost,
@@ -113,6 +122,17 @@ pub fn decode_snapshot(
     if version != SNAP_VERSION {
         return Err(SnapError::Version { found: version, expected: SNAP_VERSION });
     }
+    // The trailer checksums everything before it; check it before the
+    // rest of the header so a corrupt file reports corruption.
+    let header = bytes.len() - r.remaining();
+    let body_len = bytes.len().checked_sub(8).filter(|&n| n >= header).ok_or(SnapError::Eof)?;
+    let (body, trailer) = bytes.split_at(body_len);
+    let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
+    let computed = fnv1a(FNV_OFFSET, body);
+    if stored != computed {
+        return Err(SnapError::Checksum { stored, computed });
+    }
+    let mut r = SnapReader::new(&body[header..]);
     let found: u64 = Snap::load(&mut r)?;
     if found != expected_fingerprint {
         return Err(SnapError::Fingerprint { found, expected: expected_fingerprint });
@@ -240,11 +260,24 @@ mod tests {
             Err(SnapError::Fingerprint { found: 7, expected: 8 })
         ));
 
-        // Trailing garbage.
+        // Trailing garbage shifts the trailer, so the checksum fails.
         let mut bad = good.clone();
         bad.push(0);
         let mut h = tiny_host();
-        assert!(matches!(decode_snapshot(&bad, &mut h, 7), Err(SnapError::Malformed(_))));
+        assert!(matches!(decode_snapshot(&bad, &mut h, 7), Err(SnapError::Checksum { .. })));
+
+        // A flipped payload bit and a truncation are checksum failures.
+        let mut bad = good.clone();
+        bad[good.len() / 2] ^= 0x10;
+        let mut h = tiny_host();
+        assert!(matches!(decode_snapshot(&bad, &mut h, 7), Err(SnapError::Checksum { .. })));
+        let mut h = tiny_host();
+        assert!(matches!(
+            decode_snapshot(&good[..good.len() - 3], &mut h, 7),
+            Err(SnapError::Checksum { .. })
+        ));
+        let mut h = tiny_host();
+        assert_eq!(decode_snapshot(&good[..14], &mut h, 7), Err(SnapError::Eof));
 
         // The pristine stream restores.
         let mut h = tiny_host();

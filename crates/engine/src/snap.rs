@@ -36,8 +36,9 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::hash::Hash;
 
-/// Snapshot format errors: truncated input, unknown enum tags, or header
-/// mismatches (magic, version, configuration fingerprint).
+/// Snapshot format errors: truncated input, unknown enum tags, header
+/// mismatches (magic, version, configuration fingerprint), or a checksum
+/// that does not match the file's contents.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapError {
     /// The byte stream ended before the value was complete.
@@ -68,6 +69,14 @@ pub enum SnapError {
         /// Fingerprint of the model being restored into.
         expected: u64,
     },
+    /// The snapshot's trailing checksum does not match its contents: the
+    /// file was corrupted or truncated after it was written.
+    Checksum {
+        /// Checksum recorded in the snapshot trailer.
+        stored: u64,
+        /// Checksum of the bytes actually read.
+        computed: u64,
+    },
 }
 
 impl std::fmt::Display for SnapError {
@@ -83,6 +92,11 @@ impl std::fmt::Display for SnapError {
                 f,
                 "snapshot fingerprint {found:#018x} does not match this configuration \
                  ({expected:#018x}); restore requires the same structural spec it was saved from"
+            ),
+            SnapError::Checksum { stored, computed } => write!(
+                f,
+                "snapshot checksum mismatch: trailer says {stored:#018x}, contents hash to \
+                 {computed:#018x}; the file is corrupt or truncated"
             ),
         }
     }
@@ -512,23 +526,8 @@ impl Snap for crate::time::Bandwidth {
     }
 }
 
-impl Snap for crate::event::ComponentId {
-    fn save(&self, w: &mut SnapWriter) {
-        self.0.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(crate::event::ComponentId(u32::load(r)?))
-    }
-}
-
-impl Snap for crate::event::PortNo {
-    fn save(&self, w: &mut SnapWriter) {
-        self.0.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(crate::event::PortNo(u16::load(r)?))
-    }
-}
+crate::impl_snap_struct!(crate::event::ComponentId { 0 });
+crate::impl_snap_struct!(crate::event::PortNo { 0 });
 
 impl Snap for crate::rng::DetRng {
     fn save(&self, w: &mut SnapWriter) {
@@ -550,18 +549,22 @@ impl Snap for crate::stats::Counter {
     }
 }
 
-/// Implements [`Snap`] for a struct by listing *every* field.
+/// Implements [`Snap`] for a struct by listing *every* field, in wire
+/// order. Tuple-struct fields are listed by index (`{ 0 }`), and a
+/// leading `<T, ..>` list makes the impl generic over `T: Snap`.
 ///
 /// ```
 /// use diablo_engine::impl_snap_struct;
 /// #[derive(Debug, PartialEq)]
 /// struct P { x: u64, y: Option<u32> }
 /// impl_snap_struct!(P { x, y });
+/// struct Id(u32);
+/// impl_snap_struct!(Id { 0 });
 /// ```
 #[macro_export]
 macro_rules! impl_snap_struct {
-    ($ty:ty { $($field:ident),* $(,)? }) => {
-        impl $crate::snap::Snap for $ty {
+    (@impl [$($bounds:tt)*] $ty:ty { $($field:tt),* }) => {
+        impl<$($bounds)*> $crate::snap::Snap for $ty {
             fn save(&self, w: &mut $crate::snap::SnapWriter) {
                 $($crate::snap::Snap::save(&self.$field, w);)*
             }
@@ -572,23 +575,95 @@ macro_rules! impl_snap_struct {
             }
         }
     };
+    (<$($g:ident),+> $ty:ty { $($field:tt),* $(,)? }) => {
+        $crate::impl_snap_struct!(@impl [$($g: $crate::snap::Snap),+] $ty { $($field),* });
+    };
+    ($ty:ty { $($field:tt),* $(,)? }) => {
+        $crate::impl_snap_struct!(@impl [] $ty { $($field),* });
+    };
+}
+
+/// Implements [`Snap`] for an enum from one table of `tag => variant`
+/// entries. Each variant is written as `put_u64(tag)` followed by its
+/// fields in the order listed; tuple fields are named by the binding in
+/// the entry. An unknown tag on load is a [`SnapError::Tag`] naming the
+/// enum by module path. A `<T, ..>` list after the enum name makes the
+/// impl generic over `T: Snap`.
+///
+/// ```
+/// use diablo_engine::impl_snap_enum;
+/// enum Shape { Dot, Circle(u64), Rect { w: u32, h: u32 } }
+/// impl_snap_enum!(Shape {
+///     0 => Dot,
+///     1 => Circle(radius),
+///     2 => Rect { w, h },
+/// });
+/// ```
+#[macro_export]
+macro_rules! impl_snap_enum {
+    ($ty:ident $(<$($g:ident),+>)? {
+        $($tag:literal => $variant:ident $(($($tf:ident),+))? $({ $($sf:ident),+ })?),+ $(,)?
+    }) => {
+        impl$(<$($g: $crate::snap::Snap),+>)? $crate::snap::Snap for $ty$(<$($g),+>)? {
+            fn save(&self, w: &mut $crate::snap::SnapWriter) {
+                match self {
+                    $(Self::$variant $(($($tf),+))? $({ $($sf),+ })? => {
+                        w.put_u64($tag);
+                        $($($crate::snap::Snap::save($tf, w);)+)?
+                        $($($crate::snap::Snap::save($sf, w);)+)?
+                    })+
+                }
+            }
+            fn load(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> Result<Self, $crate::snap::SnapError> {
+                Ok(match r.take_u64()? {
+                    $($tag => {
+                        $($(let $tf = $crate::snap::Snap::load(r)?;)+)?
+                        $($(let $sf = $crate::snap::Snap::load(r)?;)+)?
+                        Self::$variant $(($($tf),+))? $({ $($sf),+ })?
+                    })+
+                    tag => {
+                        return Err($crate::snap::SnapError::Tag {
+                            what: concat!(module_path!(), "::", stringify!($ty)),
+                            tag,
+                        })
+                    }
+                })
+            }
+        }
+    };
 }
 
 /// Implements [`Persist`] for a type by listing its *state* fields (the
 /// ones a snapshot overwrites in place); configuration fields are simply
-/// omitted and keep the values the restore path rebuilt them with.
+/// omitted and keep the values the restore path rebuilt them with. A
+/// field marked `field: Persist` is itself a [`Persist`] object and is
+/// overwritten in place rather than replaced.
 #[macro_export]
 macro_rules! impl_persist_fields {
-    ($ty:ty { $($field:ident),* $(,)? }) => {
+    (@save $f:expr, $w:ident) => {
+        $crate::snap::Snap::save(&$f, $w)
+    };
+    (@save $f:expr, $w:ident, Persist) => {
+        $crate::snap::Persist::save_state(&$f, $w)
+    };
+    (@load $f:expr, $r:ident) => {
+        $f = $crate::snap::Snap::load($r)?
+    };
+    (@load $f:expr, $r:ident, Persist) => {
+        $crate::snap::Persist::load_state(&mut $f, $r)?
+    };
+    ($ty:ty { $($field:ident $(: $nested:ident)?),* $(,)? }) => {
         impl $crate::snap::Persist for $ty {
             fn save_state(&self, w: &mut $crate::snap::SnapWriter) {
-                $($crate::snap::Snap::save(&self.$field, w);)*
+                $($crate::impl_persist_fields!(@save self.$field, w $(, $nested)?);)*
             }
             fn load_state(
                 &mut self,
                 r: &mut $crate::snap::SnapReader<'_>,
             ) -> Result<(), $crate::snap::SnapError> {
-                $(self.$field = $crate::snap::Snap::load(r)?;)*
+                $($crate::impl_persist_fields!(@load self.$field, r $(, $nested)?);)*
                 Ok(())
             }
         }
@@ -685,12 +760,97 @@ mod tests {
         assert_eq!(bool::load(&mut r), Err(SnapError::Tag { what: "bool", tag: 7 }));
     }
 
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Dot,
+        Circle(u64),
+        Segment(i32, Option<u32>),
+        Rect { w: u32, h: u32 },
+    }
+    impl_snap_enum!(Shape {
+        0 => Dot,
+        1 => Circle(radius),
+        2 => Segment(from, to),
+        7 => Rect { w, h },
+    });
+
+    #[derive(Debug, PartialEq)]
+    struct Pair(u64, Shape);
+    impl_snap_struct!(Pair { 0, 1 });
+
+    #[test]
+    fn enum_macro_round_trips_every_variant_kind() {
+        round_trip(Shape::Dot);
+        round_trip(Shape::Circle(9));
+        round_trip(Shape::Segment(-3, Some(4)));
+        round_trip(Shape::Rect { w: 2, h: 5 });
+        round_trip(vec![Shape::Dot, Shape::Rect { w: 0, h: u32::MAX }]);
+    }
+
+    #[test]
+    fn enum_macro_writes_tag_then_fields_in_listed_order() {
+        let mut w = SnapWriter::new();
+        Shape::Rect { w: 1, h: 2 }.save(&mut w);
+        let mut want = SnapWriter::new();
+        want.put_u64(7);
+        1u32.save(&mut want);
+        2u32.save(&mut want);
+        assert_eq!(w.into_bytes(), want.into_bytes());
+    }
+
+    #[test]
+    fn enum_macro_rejects_unknown_tag_naming_the_module_path() {
+        let mut w = SnapWriter::new();
+        w.put_u64(3);
+        let bytes = w.into_bytes();
+        let err = Shape::load(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert_eq!(err, SnapError::Tag { what: "diablo_engine::snap::tests::Shape", tag: 3 });
+    }
+
+    #[test]
+    fn enum_macro_reports_truncation_as_eof() {
+        let mut w = SnapWriter::new();
+        Shape::Segment(1, Some(2)).save(&mut w);
+        let bytes = w.into_bytes();
+        for cut in 0..bytes.len() {
+            let mut r = SnapReader::new(&bytes[..cut]);
+            assert_eq!(Shape::load(&mut r), Err(SnapError::Eof), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn tuple_struct_macro_round_trips() {
+        round_trip(Pair(11, Shape::Circle(3)));
+        round_trip(crate::event::ComponentId(42));
+    }
+
     struct Widget {
         tunable: u64,
         count: u64,
         log: Vec<u64>,
     }
     impl_persist_fields!(Widget { count, log });
+
+    struct Holder {
+        widget: Widget,
+        epoch: u64,
+    }
+    impl_persist_fields!(Holder { epoch, widget: Persist });
+
+    #[test]
+    fn persist_overwrites_nested_objects_in_place() {
+        let old = Holder { widget: Widget { tunable: 1, count: 7, log: vec![3] }, epoch: 9 };
+        let mut w = SnapWriter::new();
+        old.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut fresh =
+            Holder { widget: Widget { tunable: 2, count: 0, log: Vec::new() }, epoch: 0 };
+        let mut r = SnapReader::new(&bytes);
+        fresh.load_state(&mut r).unwrap();
+        assert_eq!(r.remaining(), 0);
+        assert_eq!((fresh.epoch, fresh.widget.count, fresh.widget.log), (9, 7, vec![3]));
+        assert_eq!(fresh.widget.tunable, 2, "nested config fields stay rebuilt");
+    }
 
     #[test]
     fn persist_overwrites_state_and_keeps_config() {

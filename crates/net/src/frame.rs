@@ -85,16 +85,7 @@ impl Frame {
     }
 }
 
-use diablo_engine::snap::{Snap, SnapError, SnapReader, SnapWriter};
-
-impl Snap for Route {
-    fn save(&self, w: &mut SnapWriter) {
-        self.0.save(w);
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Route(Snap::load(r)?))
-    }
-}
+diablo_engine::impl_snap_struct!(Route { 0 });
 
 diablo_engine::impl_snap_struct!(Frame { packet, route, hop });
 

@@ -421,76 +421,22 @@ impl Instrumented for Kernel {
 
 use diablo_engine::snap::{Persist, Snap, SnapError, SnapReader, SnapWriter};
 
-impl Snap for Resume {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            Resume::Step => w.put_u64(0),
-            Resume::Retry(call) => {
-                w.put_u64(1);
-                call.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.take_u64()? {
-            0 => Ok(Resume::Step),
-            1 => Ok(Resume::Retry(Snap::load(r)?)),
-            tag => Err(SnapError::Tag { what: "Resume", tag }),
-        }
-    }
-}
+diablo_engine::impl_snap_enum!(Resume {
+    0 => Step,
+    1 => Retry(call),
+});
 
-impl Snap for ProcState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(match self {
-            ProcState::Runnable => 0,
-            ProcState::Blocked => 1,
-            ProcState::Exited => 2,
-        });
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => ProcState::Runnable,
-            1 => ProcState::Blocked,
-            2 => ProcState::Exited,
-            tag => return Err(SnapError::Tag { what: "ProcState", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(ProcState {
+    0 => Runnable,
+    1 => Blocked,
+    2 => Exited,
+});
 
-impl Snap for CpuWork {
-    fn save(&self, w: &mut SnapWriter) {
-        match self {
-            CpuWork::Softirq { frames } => {
-                w.put_u64(0);
-                frames.save(w);
-            }
-            CpuWork::ProcBurst { tid, dur } => {
-                w.put_u64(1);
-                tid.save(w);
-                dur.save(w);
-            }
-            CpuWork::ProcSyscall { tid, call, dur } => {
-                w.put_u64(2);
-                tid.save(w);
-                call.save(w);
-                dur.save(w);
-            }
-        }
-    }
-    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u64()? {
-            0 => CpuWork::Softirq { frames: Snap::load(r)? },
-            1 => CpuWork::ProcBurst { tid: Snap::load(r)?, dur: Snap::load(r)? },
-            2 => CpuWork::ProcSyscall {
-                tid: Snap::load(r)?,
-                call: Snap::load(r)?,
-                dur: Snap::load(r)?,
-            },
-            tag => return Err(SnapError::Tag { what: "CpuWork", tag }),
-        })
-    }
-}
+diablo_engine::impl_snap_enum!(CpuWork {
+    0 => Softirq { frames },
+    1 => ProcBurst { tid, dur },
+    2 => ProcSyscall { tid, call, dur },
+});
 
 diablo_engine::impl_snap_struct!(KernelStats {
     syscalls,
