@@ -1769,7 +1769,8 @@ diablo_engine::impl_persist_fields!(McWorker {
 });
 
 // `cfg` is rebuilt from the experiment spec; the ETC workload persists
-// only its RNG (its Zipf table is derived from the keyspace).
+// only its RNG (its Zipf table is a pure function of the keyspace, shared
+// by every client through `Zipf::new`'s memo).
 diablo_engine::impl_persist_fields!(McClient {
     rng,
     backoff_rng,

@@ -18,6 +18,7 @@
 //! exactly.
 
 use diablo_engine::rng::DetRng;
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 /// Generalized Extreme Value distribution sampler (inverse-CDF method).
 ///
@@ -143,6 +144,12 @@ impl GeneralizedPareto {
 
 /// Zipf-distributed ranks over `1..=n` via a precomputed cumulative table.
 ///
+/// The table is a pure function of `(n, s)` and immutable once built, so
+/// every sampler over the same `(n, s)` that is alive at the same time
+/// shares one allocation (see [`Zipf::new`]). It is boxed inside the `Arc`
+/// so that it is freed with its last sampler: a `Weak` keeps an `Arc`'s
+/// allocation alive, and with the box that allocation is only the header.
+///
 /// # Examples
 ///
 /// ```
@@ -155,11 +162,22 @@ impl GeneralizedPareto {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Zipf {
-    cdf: Vec<f64>,
+    cdf: Arc<Box<[f64]>>,
 }
 
+/// Every live Zipf table in the process, keyed by `(n, s.to_bits())`.
+/// Entries are `Weak` so the memo never keeps a table alive: a table is
+/// freed when its last sampler drops, and its dead entry is pruned on the
+/// next [`Zipf::new`].
+static TABLES: Mutex<Vec<ZipfMemoEntry>> = Mutex::new(Vec::new());
+
+type ZipfMemoEntry = ((usize, u64), Weak<Box<[f64]>>);
+
 impl Zipf {
-    /// Creates a Zipf sampler over `1..=n` with exponent `s`.
+    /// Creates a Zipf sampler over `1..=n` with exponent `s`. The table is
+    /// built at most once per `(n, s)` while any sampler holds it: a
+    /// paper-scale memcached run's hundreds of clients, and concurrent
+    /// sweep legs, all share one.
     ///
     /// # Panics
     ///
@@ -167,6 +185,14 @@ impl Zipf {
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "n must be positive");
         assert!(s >= 0.0, "exponent must be nonnegative");
+        let key = (n, s.to_bits());
+        // The table is only ever inserted whole, so a panicking holder
+        // cannot leave the memo inconsistent.
+        let mut tables = TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+        tables.retain(|(_, t)| t.strong_count() > 0);
+        if let Some(cdf) = tables.iter().find(|(k, _)| *k == key).and_then(|(_, t)| t.upgrade()) {
+            return Zipf { cdf };
+        }
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
         for k in 1..=n {
@@ -177,6 +203,8 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
+        let cdf = Arc::new(cdf.into_boxed_slice());
+        tables.push((key, Arc::downgrade(&cdf)));
         Zipf { cdf }
     }
 
@@ -346,8 +374,9 @@ diablo_engine::impl_snap_enum!(KvOp {
 });
 
 // Only the RNG evolves; the Zipf table and size fits are derived from the
-// keyspace at construction (and the table can run to hundreds of
-// kilobytes, so it must not ride every client's snapshot).
+// keyspace at construction. The table (800 KB at the ETC keyspace) is
+// shared process-wide through `Zipf::new`'s memo, so it rides neither
+// every client's memory nor its snapshot.
 diablo_engine::impl_persist_fields!(EtcWorkload { rng });
 
 #[cfg(test)]
@@ -405,6 +434,90 @@ mod tests {
         assert!(counts[1] > counts[100] * 10);
         assert_eq!(z.len(), 100);
         assert!(!z.is_empty());
+    }
+
+    fn memo_holds(n: usize, s: f64) -> bool {
+        let tables = TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+        tables.iter().any(|(k, _)| *k == (n, s.to_bits()))
+    }
+
+    #[test]
+    fn zipf_tables_are_shared_per_n_and_s() {
+        let a = Zipf::new(100_000, 0.99);
+        let b = Zipf::new(100_000, 0.99);
+        assert!(Arc::ptr_eq(&a.cdf, &b.cdf), "same (n, s) must share one table");
+        let other_n = Zipf::new(99_999, 0.99);
+        let other_s = Zipf::new(100_000, 0.98);
+        assert!(!Arc::ptr_eq(&a.cdf, &other_n.cdf));
+        assert!(!Arc::ptr_eq(&a.cdf, &other_s.cdf));
+        assert_eq!(other_n.len(), 99_999);
+        assert_ne!(a.cdf[..10], other_s.cdf[..10]);
+    }
+
+    #[test]
+    fn dropped_zipf_tables_are_freed_pruned_and_rebuilt_equal() {
+        // A shape no other test uses, so no concurrent test holds it.
+        let (n, s) = (4_321, 0.77);
+        let first = Zipf::new(n, s);
+        let contents = first.cdf.to_vec();
+        let weak = Arc::downgrade(&first.cdf);
+        let twin = first.clone();
+        drop(first);
+        assert!(weak.upgrade().is_some(), "a clone still holds the table");
+        drop(twin);
+        // No strong holder left means the boxed table itself was dropped.
+        assert!(weak.upgrade().is_none(), "the memo must not keep a table alive");
+        // Any construction prunes dead entries.
+        let _other = Zipf::new(4_322, 0.77);
+        assert!(!memo_holds(n, s), "the dead entry must be pruned");
+        let rebuilt = Zipf::new(n, s);
+        assert_eq!(&rebuilt.cdf[..], &contents[..]);
+        assert!(memo_holds(n, s));
+    }
+
+    #[test]
+    fn concurrent_zipf_construction_shares_one_table() {
+        let barrier = std::sync::Barrier::new(2);
+        let build = || {
+            barrier.wait();
+            Zipf::new(123_457, 1.01)
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(build);
+            let b = scope.spawn(build);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&a.cdf, &b.cdf));
+    }
+
+    #[test]
+    fn etc_draws_match_their_pins() {
+        // Recorded before the Zipf table became shared; sharing must not
+        // move a single draw.
+        let mut w = EtcWorkload::new(DetRng::new(42), 100_000);
+        let head: Vec<KvOp> = (0..4).map(|_| w.next_op()).collect();
+        assert_eq!(
+            head,
+            [
+                KvOp::Get { key: 2, key_size: 35 },
+                KvOp::Get { key: 2443, key_size: 40 },
+                KvOp::Get { key: 91085, key_size: 32 },
+                KvOp::Get { key: 3879, key_size: 31 },
+            ]
+        );
+        let mut w = EtcWorkload::new(DetRng::new(42), 100_000);
+        let ops: Vec<KvOp> = (0..10_000).map(|_| w.next_op()).collect();
+        assert_eq!(ops[19], KvOp::Set { key: 195, key_size: 45, value_size: 103 });
+        assert_eq!(ops.iter().filter(|op| matches!(op, KvOp::Set { .. })).count(), 315);
+        let digest = ops
+            .iter()
+            .flat_map(|op| {
+                op.key().to_le_bytes().into_iter().chain(op.request_size().to_le_bytes())
+            })
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(digest, 0x9fad_4b50_11dd_e305);
     }
 
     #[test]

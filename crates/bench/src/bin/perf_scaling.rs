@@ -48,10 +48,15 @@
 //! multi-partition run that never sent a cross-partition event, or a
 //! multi-worker run whose exchange lanes stayed empty, almost certainly
 //! isn't measuring what it claims to.
+//!
+//! Every row also splits its wall time by lifecycle phase (`build_s`,
+//! `drive_s`, from `Run::phases`) and reports drive-only throughput
+//! (`drive_events_per_sec`) next to the end-to-end `events_per_sec`,
+//! plus the run's peak resident memory (`peak_rss_mb`).
 
-use diablo_bench::{banner, best_of, results_dir, Args};
+use diablo_bench::{banner, best_of, peak_rss_mb, reset_peak_rss, results_dir, Args};
 use diablo_core::report::{fmt_f, Table};
-use diablo_core::{run, McExperimentConfig, RunMode};
+use diablo_core::{run, McExperimentConfig, Phases, RunMode};
 use diablo_engine::prelude::ExecReport;
 use diablo_stack::process::Proto;
 use std::fmt::Write as _;
@@ -61,11 +66,18 @@ struct Measurement {
     wall_s: f64,
     sim_s: f64,
     exec: Option<ExecReport>,
+    phases: Phases,
+    peak_rss_mb: f64,
 }
 
 impl Measurement {
+    /// End to end: every phase of the run, setup and teardown included.
     fn events_per_sec(&self) -> f64 {
         self.events as f64 / self.wall_s.max(1e-9)
+    }
+    /// Events over the drive phase's host time alone.
+    fn drive_events_per_sec(&self) -> f64 {
+        self.events as f64 / self.phases.drive.as_secs_f64().max(1e-9)
     }
     /// Simulated seconds advanced per wall-clock second (1/slowdown).
     fn sim_rate(&self) -> f64 {
@@ -80,12 +92,15 @@ fn measure(cfg: &McExperimentConfig, repeat: usize) -> Measurement {
     best_of(
         repeat,
         || {
+            reset_peak_rss();
             let r = run(cfg);
             Measurement {
                 events: r.events,
                 wall_s: r.wall.as_secs_f64(),
                 sim_s: r.summary.completed_at.as_secs_f64().max(1e-9),
                 exec: r.exec,
+                phases: r.phases,
+                peak_rss_mb: peak_rss_mb().unwrap_or(0.0),
             }
         },
         |m| m.wall_s,
@@ -115,11 +130,17 @@ fn sanity_warnings(m: &Measurement, partitions: usize) -> Vec<&'static str> {
 /// including the effective vs. requested worker counts.
 fn json_fields(m: &Measurement, warnings: &[&str]) -> String {
     let mut s = format!(
-        "\"events\": {}, \"wall_s\": {:.6}, \"events_per_sec\": {:.1}, \"sim_rate\": {:.6}",
+        "\"events\": {}, \"wall_s\": {:.6}, \"events_per_sec\": {:.1}, \"sim_rate\": {:.6}, \
+         \"build_s\": {:.6}, \"drive_s\": {:.6}, \"drive_events_per_sec\": {:.1}, \
+         \"peak_rss_mb\": {:.1}",
         m.events,
         m.wall_s,
         m.events_per_sec(),
-        m.sim_rate()
+        m.sim_rate(),
+        m.phases.build.as_secs_f64(),
+        m.phases.drive.as_secs_f64(),
+        m.drive_events_per_sec(),
+        m.peak_rss_mb
     );
     if let Some(exec) = &m.exec {
         write!(
@@ -143,6 +164,18 @@ fn json_fields(m: &Measurement, warnings: &[&str]) -> String {
         write!(s, ", \"warnings\": [{}]", list.join(", ")).unwrap();
     }
     s
+}
+
+/// The build/drive split, drive-only throughput and peak RSS of a row,
+/// for the console.
+fn phase_summary(m: &Measurement) -> String {
+    format!(
+        "build {:.3}s drive {:.3}s ({:.0} drive ev/s) peak {:.0} MB",
+        m.phases.build.as_secs_f64(),
+        m.phases.drive.as_secs_f64(),
+        m.drive_events_per_sec(),
+        m.peak_rss_mb
+    )
 }
 
 /// Median of per-round paired wall ratios serial/other: within one
@@ -274,8 +307,9 @@ fn run_grow(args: &Args) {
         let mut best = best.into_iter().map(|m| m.expect("measured"));
         let serial = best.next().expect("serial slot");
         println!(
-            "racks={racks:>3} servers={servers:>4} serial: {:>12.0} ev/s",
-            serial.events_per_sec()
+            "racks={racks:>3} servers={servers:>4} serial: {:>12.0} ev/s  {}",
+            serial.events_per_sec(),
+            phase_summary(&serial)
         );
         writeln!(json, "    {{").unwrap();
         writeln!(json, "      \"racks\": {racks}, \"servers\": {servers},").unwrap();
@@ -290,8 +324,9 @@ fn run_grow(args: &Args) {
             let effective = m.exec.as_ref().map_or(1, |e| e.workers.len());
             println!(
                 "racks={racks:>3} servers={servers:>4} par{partitions}xw{w}: {:>12.0} ev/s  \
-                 ({speedup:.2}x serial, {effective} effective workers)",
-                m.events_per_sec()
+                 ({speedup:.2}x serial, {effective} effective workers)  {}",
+                m.events_per_sec(),
+                phase_summary(&m)
             );
             if w > 1 {
                 fresh_rows.push(((racks as u64, w as u64), m.events_per_sec()));

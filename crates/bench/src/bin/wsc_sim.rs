@@ -471,9 +471,13 @@ fn emit_observability<S>(tag: &str, json: Option<PathBuf>, check_invariants: boo
     }
     if let Some(exec) = &run.exec {
         // Executor statistics differ between serial and parallel runs by
-        // construction; keep them out of the comparable model scrape.
+        // construction, and phase times are host time; keep both out of
+        // the comparable model scrape.
         let mut reg = MetricsRegistry::new();
         reg.record("exec", exec);
+        for (name, d) in run.phases.named() {
+            reg.set_gauge(&format!("host.phase.{name}_s"), d.as_secs_f64());
+        }
         if let Err(e) = write_metrics_artifacts(&format!("{tag}_exec"), &reg, exec_override) {
             eprintln!("warning: failed to write executor metrics: {e}");
         }
@@ -649,11 +653,12 @@ impl Subcommand for McExperimentConfig {
     fn report(run: &Run<Self::Summary>) {
         let s = &run.summary;
         println!(
-            "\n{} requests in {} simulated ({} events, {:.2}s wall)",
+            "\n{} requests in {} simulated ({} events, {:.2}s wall: {})",
             s.latency.count(),
             s.completed_at,
             run.events,
-            run.wall.as_secs_f64()
+            run.wall.as_secs_f64(),
+            run.phases
         );
         println!("served={} udp_retries={} failures={}", s.served, s.udp_retries, s.failures);
         print_control(s.control.as_ref());
@@ -740,11 +745,13 @@ impl Subcommand for IncastConfig {
     fn report(run: &Run<Self::Summary>) {
         let s = &run.summary;
         println!(
-            "\ngoodput {:.1} Mbps over {} iterations ({} switch drops, {} events)",
+            "\ngoodput {:.1} Mbps over {} iterations ({} switch drops, {} events, {:.2}s wall: {})",
             s.goodput_mbps,
             s.iteration_times.len(),
             s.switch_drops,
-            run.events
+            run.events,
+            run.wall.as_secs_f64(),
+            run.phases
         );
         print_control(s.control.as_ref());
         print_slo(s.offered, &run.slo);
@@ -806,11 +813,12 @@ impl Subcommand for PaExperimentConfig {
     fn report(run: &Run<Self::Summary>) {
         let s = &run.summary;
         println!(
-            "\n{} queries in {} simulated ({} events, {:.2}s wall)",
+            "\n{} queries in {} simulated ({} events, {:.2}s wall: {})",
             s.queries,
             s.completed_at,
             run.events,
-            run.wall.as_secs_f64()
+            run.wall.as_secs_f64(),
+            run.phases
         );
         println!(
             "full_aggregates={} deadline_misses={} missing_answers={} leaf_served={}",

@@ -227,6 +227,24 @@ pub fn results_dir() -> PathBuf {
     }
 }
 
+/// Resets the kernel's peak-RSS mark to the current RSS, so the next
+/// [`peak_rss_mb`] is the peak of what runs after this call, counted from
+/// what is resident now (heap an earlier run freed but the allocator kept
+/// included). Best effort: on hosts without `/proc/self/clear_refs` the
+/// peak stays the process's high-water mark, which only over-reports.
+pub fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
+
+/// Peak resident memory since the last [`reset_peak_rss`] (`VmHWM`), in
+/// MB; `None` where `/proc/self/status` is unavailable.
+pub fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = kb.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb * 1024.0 / 1e6)
+}
+
 /// Writes a metric scrape as both JSON and CSV. By default both land
 /// under [`results_dir`] as `<tag>_metrics.json` / `<tag>_metrics.csv`;
 /// `json_override`, when set, replaces the JSON destination and the CSV

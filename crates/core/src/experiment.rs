@@ -18,7 +18,8 @@
 //! 5. settle trailing traffic and audit frame conservation;
 //! 6. wrap the workload's own numbers in a [`Run`] carrying the
 //!    run-level measurements (events, executor report, metric scrape,
-//!    series, conservation audit, failure accounting).
+//!    series, conservation audit, failure accounting) and the host time
+//!    each phase took ([`Phases`]).
 //!
 //! Workloads implement the [`Workload`] trait: spawn processes in
 //! [`build`](Workload::build), poll a done flag in
@@ -40,6 +41,7 @@ use diablo_engine::prelude::{
 };
 use diablo_net::topology::TopologyConfig;
 use diablo_stack::profile::{CongestionControl, KernelProfile};
+use std::time::{Duration, Instant};
 
 // ====================================================================
 // Shared configuration
@@ -341,7 +343,53 @@ pub struct Run<S = ()> {
     /// Simulated time consumed, including the settle phase.
     pub sim_time: SimTime,
     /// Host wall-clock time for the whole run.
-    pub wall: std::time::Duration,
+    pub wall: Duration,
+    /// Host wall-clock time of each lifecycle phase. Host time, not model
+    /// state, so it never enters [`metrics`](Run::metrics).
+    pub phases: Phases,
+}
+
+/// Host wall-clock time spent in each phase of one run's lifecycle. The
+/// phases are disjoint and together cover all of [`Run::wall`] but the
+/// few microseconds between them.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Phases {
+    /// `Cluster::instantiate`: switches, links, NICs and kernels.
+    pub instantiate: Duration,
+    /// Fault-plan apply (or snapshot restore) and `Workload::build`.
+    pub build: Duration,
+    /// The doubling-horizon drive loop, periodic sampling included.
+    pub drive: Duration,
+    /// Running trailing traffic off the wires for the conservation audit.
+    pub settle: Duration,
+    /// Extracting the workload's summary and the final metric scrape.
+    pub scrape: Duration,
+    /// Writing the mid-run checkpoint (zero when none was asked for).
+    pub snapshot_write: Duration,
+}
+
+impl Phases {
+    /// Each phase with its name, in lifecycle order.
+    pub fn named(&self) -> [(&'static str, Duration); 6] {
+        [
+            ("instantiate", self.instantiate),
+            ("build", self.build),
+            ("drive", self.drive),
+            ("settle", self.settle),
+            ("scrape", self.scrape),
+            ("snapshot_write", self.snapshot_write),
+        ]
+    }
+}
+
+impl std::fmt::Display for Phases {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, (name, d)) in self.named().into_iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            write!(f, "{sep}{name} {:.3}s", d.as_secs_f64())?;
+        }
+        Ok(())
+    }
 }
 
 /// The run-level measurements alone, as [`ExperimentHarness::run`]
@@ -367,6 +415,7 @@ impl<S> Run<S> {
             slo,
             sim_time,
             wall,
+            phases,
         } = self;
         let env = Run {
             summary: (),
@@ -379,6 +428,7 @@ impl<S> Run<S> {
             slo,
             sim_time,
             wall,
+            phases,
         };
         (summary, env)
     }
@@ -408,6 +458,15 @@ fn advance(
     }
     host.run_until(target)?;
     Ok(())
+}
+
+/// The time since `mark`, moving `mark` to now: consecutive laps split a
+/// stretch of host time into disjoint phases.
+fn lap(mark: &mut Instant) -> Duration {
+    let now = Instant::now();
+    let d = now - *mark;
+    *mark = now;
+    d
 }
 
 /// Runs the (logically finished) simulation forward in 5 ms steps until
@@ -544,11 +603,14 @@ impl ExperimentHarness {
         ckpt: &CheckpointPolicy,
         warm_only: bool,
     ) -> Result<Option<Run<W::Summary>>, ExperimentError> {
-        let wall_start = std::time::Instant::now();
+        let wall_start = Instant::now();
+        let mut mark = wall_start;
+        let mut phases = Phases::default();
 
         // 1. Assemble the cluster.
         let spec = self.base.spec();
         let (mut host, cluster) = Cluster::instantiate(&spec, self.base.mode);
+        phases.instantiate = lap(&mut mark);
         let fingerprint = self.fingerprint(workload.name());
         let budget = workload.budget();
         if let Some((_, at)) = &ckpt.save {
@@ -576,6 +638,7 @@ impl ExperimentHarness {
                 series: self.base.sample_every.map(|_| SeriesRecorder::new()),
             }
         };
+        phases.build = lap(&mut mark);
 
         // 4. Drive with a doubling horizon until the workload completes,
         // snapshotting exactly at the requested instant along the way.
@@ -591,7 +654,9 @@ impl ExperimentHarness {
                         &mut drive.next_sample,
                         drive.series.as_mut(),
                     )?;
+                    phases.drive += lap(&mut mark);
                     snapshot::write_snapshot_file(path, &mut host, fingerprint, &drive)?;
+                    phases.snapshot_write = lap(&mut mark);
                     if warm_only {
                         return Ok(None);
                     }
@@ -618,6 +683,7 @@ impl ExperimentHarness {
             }
             drive.horizon = SimTime::from_picos(drive.horizon.as_picos() * 2).min(budget);
         }
+        phases.drive += lap(&mut mark);
         if let Some((_, at)) = pending_save {
             return Err(ExperimentError::CheckpointUnreached { at, finished_at: host.now() });
         }
@@ -626,7 +692,9 @@ impl ExperimentHarness {
         let failure = workload.failure_stats(&host, &cluster);
         let slo = workload.slo_stats(&host, &cluster);
         let summary = workload.summarize(&host, &cluster);
+        phases.scrape = lap(&mut mark);
         let conservation = settle(&mut host, &cluster)?;
+        phases.settle = lap(&mut mark);
         debug_assert!(
             conservation.is_balanced(),
             "{} frame conservation violated: {:?}",
@@ -635,17 +703,20 @@ impl ExperimentHarness {
         );
 
         // 6. Wrap it all in the run result.
+        let metrics = cluster.scrape(&host);
+        phases.scrape += lap(&mut mark);
         Ok(Some(Run {
             summary,
             events: host.events_processed(),
             exec: host.exec_report(),
-            metrics: cluster.scrape(&host),
+            metrics,
             series: drive.series,
             conservation,
             failure,
             slo,
             sim_time: host.now(),
             wall: wall_start.elapsed(),
+            phases,
         }))
     }
 }

@@ -27,7 +27,7 @@ pub use diablo_apps::arrival::{ArrivalError, ArrivalProcess, ArrivalSpec, SloSta
 pub use diablo_apps::control::{ControlConfig, ControlReport};
 pub use experiment::{
     run, try_run, warm, CheckpointPolicy, Experiment, ExperimentBase, ExperimentError,
-    ExperimentHarness, Run, RunEnvelope, Workload,
+    ExperimentHarness, Phases, Run, RunEnvelope, Workload,
 };
 pub use experiments::{
     try_run_incast, try_run_memcached, try_run_partition_aggregate, IncastClientKind, IncastConfig,
