@@ -42,7 +42,7 @@
 //!   available_parallelism)` threads by default (`DIABLO_WORKERS`
 //!   overrides; [`ParallelSimulation::with_workers`] pins it per instance).
 //!   Each worker owns a contiguous block of partitions and merges their
-//!   events through one [`CalendarQueue`], dispatching in the global
+//!   events through one [`SlabQueue`], dispatching in the global
 //!   [`crate::event::EventKey`] order. Worker count affects scheduling
 //!   only — results are bit-identical for every worker count (see the
 //!   conformance tests).
@@ -73,11 +73,11 @@
 //!   exactly once per round; the dispatch fast path touches no shared
 //!   state at all. See `run_worker`.
 //! * **Per-worker arenas.** Every scratch buffer on the steady-state path —
-//!   the emitted-event buffer, the per-destination outboxes, the calendar
-//!   queue's buckets, the exchange lanes — lives in [`WorkerState`] or the
-//!   pool and is reused across rounds *and* across `run_until` calls, so
-//!   the hot path performs no per-event heap allocation once capacities
-//!   have warmed up.
+//!   the emitted-event buffer, the per-destination outboxes, the queue's
+//!   heap and payload slab, the exchange lanes — lives in [`WorkerState`]
+//!   or the pool and is reused across rounds *and* across `run_until`
+//!   calls, so the hot path performs no per-event heap allocation once
+//!   capacities have warmed up.
 //! * **Lock-free round boundary *and* run boundary.** Rounds never take a
 //!   lock: a round is barrier → concurrent lane drain → barrier, with the
 //!   exchange running over the parity lanes and the decision over the
@@ -107,7 +107,7 @@
 use crate::component::{Component, Ctx};
 use crate::error::EngineError;
 use crate::event::{ComponentId, Event, EventKey, EventKind, PortNo, TimerKey};
-use crate::sched::{CalendarQueue, EventQueue};
+use crate::sched::{EventQueue, SlabQueue};
 use crate::sim::{RunStats, Simulation};
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::stats::{ExecReport, PartitionExec, WorkerExec};
@@ -214,7 +214,7 @@ struct WorkerState<M> {
     /// Execution counters for each owned partition (`counters[p - lo]`).
     counters: Vec<PartCounters>,
     /// Merged queue of every owned partition's pending events.
-    queue: CalendarQueue<M>,
+    queue: SlabQueue<M>,
     /// Per-destination-worker outboxes, swapped into lanes at round end.
     /// Kept in the state so buffer capacity survives across rounds/runs.
     outboxes: Vec<Vec<Event<M>>>,
@@ -247,7 +247,7 @@ impl<M> WorkerState<M> {
             seqs: Vec::new(),
             part_of: Vec::new(),
             counters: Vec::new(),
-            queue: CalendarQueue::new(),
+            queue: SlabQueue::new(),
             outboxes: Vec::new(),
             pending: Vec::new(),
             last_time: SimTime::ZERO,
@@ -258,12 +258,6 @@ impl<M> WorkerState<M> {
             lane_peak: 0,
             batches: 0,
         }
-    }
-
-    /// A cheap placeholder left behind while the real state is loaned to a
-    /// worker thread.
-    fn hollow() -> Self {
-        WorkerState { queue: CalendarQueue::with_params(16, 1), ..WorkerState::new(0) }
     }
 }
 
@@ -281,7 +275,7 @@ fn route_one<M>(
     part_worker: &[u32],
     me: usize,
     src_part: u32,
-    queue: &mut CalendarQueue<M>,
+    queue: &mut SlabQueue<M>,
     outboxes: &mut [Vec<Event<M>>],
     earliest_ok_ps: u64,
     cross: &mut u64,
@@ -1246,8 +1240,9 @@ impl<M: Send + 'static> ParallelSimulation<M> {
         // SAFETY: no job is in flight (the previous one completed with
         // `done == nworkers` observed under the job mutex), so the
         // coordinator owns every handoff cell until the epoch bump below.
+        // The placeholder left behind allocates nothing.
         for (i, ws) in self.workers.iter_mut().enumerate() {
-            let state = std::mem::replace(ws, WorkerState::hollow());
+            let state = std::mem::replace(ws, WorkerState::new(0));
             unsafe { *shared.slots[i].get() = Some(state) };
         }
         {

@@ -1,68 +1,50 @@
-//! Event schedulers: the [`EventQueue`] abstraction, the default two-tier
-//! [`CalendarQueue`], and the reference [`HeapQueue`].
+//! Event schedulers: the [`EventQueue`] abstraction, the production
+//! [`SlabQueue`], and the reference [`HeapQueue`].
 //!
-//! # Why a calendar queue
+//! # Why a heap of compact entries
 //!
-//! DIABLO's FPGA schedulers make event dispatch nearly free: picking the
-//! next model to advance is a constant-time hardware operation, which is a
-//! large part of the ~250× speedup over software simulators the paper
-//! reports (§5). The software engine originally paid an O(log n)
-//! `BinaryHeap` sift on a 24-byte [`EventKey`] for every push *and* pop —
-//! millions of comparisons per run that the models themselves never asked
-//! for. A calendar queue (Brown 1988, the structure used by most production
-//! discrete-event simulators) recovers amortized O(1) scheduling for the
-//! near future, which is where virtually all simulation events live: link
-//! serialization delays, switch forwarding latencies, and CPU timer ticks
-//! are all within microseconds of "now".
+//! DIABLO's FPGA schedulers make choosing the next event nearly free (§3,
+//! §5), so the software engine's per-event scheduling cost is what stands
+//! between it and the models. That cost is dominated by moving events, not
+//! by comparing keys: an `Event<Frame>` is 144 bytes, and every structure
+//! that holds whole events copies them on each push, sift or bucket sort.
+//! Only about a third of events carry a frame; the rest are timers.
 //!
-//! # Structure
+//! [`SlabQueue`] therefore keeps the ordering structure and the payloads
+//! apart:
 //!
-//! Two tiers:
+//! * a `std::collections::BinaryHeap` of 40-byte entries, each holding the
+//!   [`EventKey`], a `u64` that is either the timer key or a slab index, and
+//!   the port tag (`None` for a timer). Entry size does not depend on `M`;
+//! * a `Vec<Option<M>>` slab with a free list for message payloads. A
+//!   payload is written once on push and taken once on pop; freed slots are
+//!   reused LIFO, so the slab stays as large as the peak number of
+//!   in-flight messages and its hot slots stay in cache.
 //!
-//! * a **bucketed wheel** of `2^BUCKET_BITS` slots, each
-//!   `2^BUCKET_SHIFT_PS` picoseconds wide (≈0.5 ns by default, so the
-//!   events of one slot are nearly always a handful at the same instant —
-//!   link serialization and switch hops resolve at nanosecond scale).
-//!   Pushing an event whose delivery bucket lies within one wheel
-//!   revolution (≈4.2 µs) of the cursor is an O(1) append. A per-slot
-//!   occupancy bitmap lets the cursor skip runs of empty slots a 64-slot
-//!   word at a time, which is what makes narrow buckets affordable;
-//! * an **overflow min-heap** for far-future events (e.g. 200 ms TCP
-//!   retransmission timers). Overflow events migrate into the wheel lazily
-//!   as the cursor advances, so each pays O(log overflow) once instead of
-//!   keeping the hot path's comparisons.
-//!
-//! The bucket currently being drained is sorted *descending* by
-//! [`EventKey`] so serving the next event is a `Vec::pop`. Events scheduled
-//! into the active bucket while it drains (a component emitting a same- or
-//! near-instant follow-up) are placed by binary search, preserving order.
+//! A two-tier calendar wheel (8,192 half-nanosecond buckets plus an
+//! overflow heap) preceded this design. It won on payload-free
+//! microbenchmarks, but on the simulator's real traffic most of its time
+//! went into copying whole events through bucket `Vec`s and sorts; DESIGN.md
+//! §4 records the measurements.
 //!
 //! # Determinism
 //!
-//! [`CalendarQueue`] pops events in exactly the total
-//! `(time, target, source, source_seq)` order of [`EventKey`] — the same
-//! order [`HeapQueue`] (the original `BinaryHeap` scheduler) produces —
-//! for *any* interleaving of pushes and pops. Bucketing partitions events
-//! by time, the active bucket is kept key-sorted, and equal-time events
-//! always share a bucket, so the global minimum is always the active
-//! bucket's head. `tests/prop_sched.rs` checks byte-identical agreement
-//! against [`HeapQueue`] under random interleavings, and the executor
-//! cross-tests (`tests/determinism.rs`) confirm serial/parallel runs stay
-//! bit-identical end to end.
+//! Both queues pop in the total `(time, target, source, source_seq)` order
+//! of [`EventKey`] for any interleaving of pushes and pops. Keys are unique
+//! (per-source sequence numbers), so a heap ordered by key alone has exactly
+//! one valid pop order. `tests/prop_sched.rs` checks [`SlabQueue`] against
+//! [`HeapQueue`] on keys *and* payloads, and the executor cross-tests
+//! (`tests/determinism.rs`) keep serial and parallel runs bit-identical.
 
-use crate::event::{Event, EventKey, HeapEntry};
+use crate::event::{Event, EventKey, EventKind, HeapEntry, PortNo};
 use std::collections::BinaryHeap;
 
 /// Minimal interface the executors need from an event scheduler.
-///
-/// `peek_key` takes `&mut self` because the calendar queue advances its
-/// cursor lazily: finding the next event may rotate the wheel and migrate
-/// overflow entries.
 pub trait EventQueue<M> {
     /// Inserts an event.
     fn push(&mut self, ev: Event<M>);
     /// The key of the earliest event, if any.
-    fn peek_key(&mut self) -> Option<EventKey>;
+    fn peek_key(&self) -> Option<EventKey>;
     /// Removes and returns the earliest event.
     fn pop(&mut self) -> Option<Event<M>>;
     /// Removes and returns the earliest event *iff* its delivery time is
@@ -83,9 +65,8 @@ pub trait EventQueue<M> {
     }
 }
 
-/// The original `BinaryHeap` scheduler, kept as the reference
-/// implementation for differential tests and as a fallback for workloads
-/// with pathological far-future scheduling.
+/// A binary heap of whole events: the reference implementation the
+/// property tests compare [`SlabQueue`] against.
 #[derive(Debug)]
 pub struct HeapQueue<M> {
     heap: BinaryHeap<HeapEntry<M>>,
@@ -108,7 +89,7 @@ impl<M> EventQueue<M> for HeapQueue<M> {
     fn push(&mut self, ev: Event<M>) {
         self.heap.push(HeapEntry(ev));
     }
-    fn peek_key(&mut self) -> Option<EventKey> {
+    fn peek_key(&self) -> Option<EventKey> {
         self.heap.peek().map(|e| e.0.key)
     }
     fn pop(&mut self) -> Option<Event<M>> {
@@ -119,371 +100,203 @@ impl<M> EventQueue<M> for HeapQueue<M> {
     }
 }
 
-/// Default bucket width: `2^9` ps ≈ 0.5 ns. Narrow buckets keep the active
-/// bucket small so the per-bucket sort stays short even with thousands of
-/// pending timers; the occupancy bitmap makes skipping the resulting empty
-/// slots free.
-const BUCKET_SHIFT_PS: u32 = 9;
-/// Default wheel size: `2^13` buckets → one revolution ≈ 4.2 µs, comfortably
-/// past the quantum/window scale; longer timers ride the overflow heap.
-const BUCKET_BITS: u32 = 13;
-
-/// Two-tier calendar-queue scheduler; see the module docs.
+/// One heap entry of a [`SlabQueue`]: the key plus a handle on the payload.
 #[derive(Debug)]
-pub struct CalendarQueue<M> {
-    /// log2 of the bucket width in picoseconds.
-    shift: u32,
-    /// `buckets.len() - 1`; the wheel size is a power of two.
-    mask: u64,
-    /// The wheel. Slot `b & mask` holds events of absolute bucket `b` when
-    /// `cursor < b < cursor + buckets.len()`.
-    buckets: Box<[Vec<Event<M>>]>,
-    /// One bit per wheel slot, set iff the slot is non-empty; lets the
-    /// cursor jump over runs of empty slots a word at a time.
-    occupied: Box<[u64]>,
-    /// Events in wheel slots (excludes `current` and `overflow`).
-    wheel_len: usize,
-    /// Absolute index of the bucket currently draining into `current`.
-    cursor: u64,
-    /// The active bucket, sorted descending by key; next event is `last()`.
-    current: Vec<Event<M>>,
-    /// Far-future events (absolute bucket ≥ `cursor + buckets.len()`).
-    overflow: BinaryHeap<HeapEntry<M>>,
-    /// Total queued events.
-    len: usize,
+struct SlabEntry {
+    key: EventKey,
+    /// The timer key if `port` is `None`, otherwise the payload's slab index.
+    data: u64,
+    /// The arrival port of a message; `None` marks a timer.
+    port: Option<PortNo>,
 }
 
-impl<M> Default for CalendarQueue<M> {
-    fn default() -> Self {
-        Self::with_params(BUCKET_SHIFT_PS, BUCKET_BITS)
+impl PartialEq for SlabEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+impl Eq for SlabEntry {}
+impl PartialOrd for SlabEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for SlabEntry {
+    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
+        // Reversed: BinaryHeap is a max-heap, we want earliest first.
+        other.key.cmp(&self.key)
     }
 }
 
-impl<M> CalendarQueue<M> {
-    /// Creates an empty scheduler with the default geometry.
+/// The production scheduler: a binary heap of compact entries with message
+/// payloads in a slab; see the module docs.
+#[derive(Debug)]
+pub struct SlabQueue<M> {
+    heap: BinaryHeap<SlabEntry>,
+    /// Message payloads, indexed by [`SlabEntry::data`]; `None` when free.
+    slab: Vec<Option<M>>,
+    /// Indices of free `slab` slots, reused last-freed first.
+    free: Vec<usize>,
+}
+
+impl<M> Default for SlabQueue<M> {
+    fn default() -> Self {
+        SlabQueue { heap: BinaryHeap::new(), slab: Vec::new(), free: Vec::new() }
+    }
+}
+
+impl<M> SlabQueue<M> {
+    /// Creates an empty scheduler.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates a scheduler with buckets `2^bucket_shift_ps` picoseconds
-    /// wide and a wheel of `2^bucket_bits` slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry is degenerate (zero-size wheel) or if the
-    /// combined shift would overflow bucket arithmetic.
-    pub fn with_params(bucket_shift_ps: u32, bucket_bits: u32) -> Self {
-        assert!((1..=20).contains(&bucket_bits), "unreasonable wheel size");
-        assert!(bucket_shift_ps < 64, "bucket width overflows u64");
-        let n = 1usize << bucket_bits;
-        CalendarQueue {
-            shift: bucket_shift_ps,
-            mask: (n - 1) as u64,
-            buckets: (0..n).map(|_| Vec::new()).collect(),
-            occupied: vec![0u64; n.div_ceil(64)].into_boxed_slice(),
-            wheel_len: 0,
-            cursor: 0,
-            current: Vec::new(),
-            overflow: BinaryHeap::new(),
-            len: 0,
-        }
-    }
-
+    /// Rebuilds the event an entry stands for, freeing its payload slot.
     #[inline]
-    fn bucket_of(&self, key: &EventKey) -> u64 {
-        key.time.as_picos() >> self.shift
-    }
-
-    #[inline]
-    fn wheel_slots(&self) -> u64 {
-        self.mask + 1
-    }
-
-    /// First absolute bucket beyond the wheel's reach from `cursor`.
-    #[inline]
-    fn horizon(&self) -> u64 {
-        self.cursor.saturating_add(self.wheel_slots())
-    }
-
-    /// Inserts into `current`, keeping it sorted descending by key.
-    fn insert_current(&mut self, ev: Event<M>) {
-        let at = self.current.partition_point(|e| e.key > ev.key);
-        self.current.insert(at, ev);
-    }
-
-    #[inline]
-    fn set_occupied(&mut self, slot: usize) {
-        self.occupied[slot >> 6] |= 1u64 << (slot & 63);
-    }
-
-    #[inline]
-    fn clear_occupied(&mut self, slot: usize) {
-        self.occupied[slot >> 6] &= !(1u64 << (slot & 63));
-    }
-
-    /// First occupied slot at or (circularly) after `start`. Caller
-    /// guarantees at least one bit is set.
-    #[inline]
-    fn next_occupied_slot(&self, start: usize) -> usize {
-        let words = &self.occupied;
-        let mut wi = start >> 6;
-        let mut w = words[wi] & (!0u64 << (start & 63));
-        loop {
-            if w != 0 {
-                return (wi << 6) + w.trailing_zeros() as usize;
+    fn take(&mut self, e: SlabEntry) -> Event<M> {
+        let kind = match e.port {
+            None => EventKind::Timer(e.data),
+            Some(port) => {
+                let slot = e.data as usize;
+                let msg = self.slab[slot].take().expect("slab slot of a queued message is full");
+                self.free.push(slot);
+                EventKind::Message(port, msg)
             }
-            wi += 1;
-            if wi == words.len() {
-                wi = 0;
-            }
-            w = words[wi];
-        }
-    }
-
-    /// Rotates the wheel to the next non-empty bucket and loads it into
-    /// `current`. Caller guarantees `current` is drained and at least one
-    /// event remains in the wheel or overflow.
-    #[cold]
-    fn advance(&mut self) {
-        debug_assert!(self.current.is_empty());
-        debug_assert!(self.wheel_len + self.overflow.len() == self.len);
-        if self.wheel_len > 0 {
-            // All wheel events live strictly within one revolution ahead of
-            // the cursor; the occupancy bitmap finds the nearest one a word
-            // at a time instead of probing slots individually.
-            let n = self.wheel_slots() as usize;
-            let cslot = (self.cursor & self.mask) as usize;
-            let slot = self.next_occupied_slot((cslot + 1) % n);
-            let d = ((slot + n - cslot - 1) % n) + 1;
-            self.cursor += d as u64;
-        } else {
-            // Wheel idle: jump straight to the earliest far-future bucket.
-            let head = self.overflow.peek().expect("advance called on an empty queue");
-            self.cursor = self.bucket_of(&head.0.key);
-        }
-        // The horizon moved: migrate overflow events that are now within
-        // one revolution. The overflow heap is keyed by EventKey, and time
-        // is the key's major field, so its head always has the minimum
-        // bucket.
-        let horizon = self.horizon();
-        while let Some(head) = self.overflow.peek() {
-            let b = self.bucket_of(&head.0.key);
-            if b >= horizon {
-                break;
-            }
-            let ev = self.overflow.pop().expect("peeked entry vanished").0;
-            if b == self.cursor {
-                self.current.push(ev);
-            } else {
-                let s = (b & self.mask) as usize;
-                self.buckets[s].push(ev);
-                self.set_occupied(s);
-                self.wheel_len += 1;
-            }
-        }
-        let cslot = (self.cursor & self.mask) as usize;
-        self.clear_occupied(cslot);
-        let slot = &mut self.buckets[cslot];
-        self.wheel_len -= slot.len();
-        if self.current.is_empty() {
-            // Steal the slot's allocation outright; capacities ping-pong
-            // between the slot and `current` across revolutions.
-            std::mem::swap(&mut self.current, slot);
-        } else {
-            self.current.append(slot);
-        }
-        // Descending sort: serving is then a plain Vec::pop. Keys are
-        // unique (per-source sequence numbers), so unstable sorting cannot
-        // perturb the order. Single-event buckets (the common case with
-        // sub-ns buckets) skip the sort entirely.
-        if self.current.len() > 1 {
-            self.current.sort_unstable_by_key(|e| std::cmp::Reverse(e.key));
-        }
-        debug_assert!(!self.current.is_empty());
+        };
+        Event { key: e.key, kind }
     }
 }
 
-impl<M> EventQueue<M> for CalendarQueue<M> {
+// `#[inline]` on the per-event methods: the executors' dispatch loops are
+// instantiated in the crates that run them, and inlining these methods
+// there cut the timer-only microbenchmark rows by roughly a quarter.
+impl<M> EventQueue<M> for SlabQueue<M> {
+    #[inline]
     fn push(&mut self, ev: Event<M>) {
-        let b = self.bucket_of(&ev.key);
-        self.len += 1;
-        if b <= self.cursor {
-            // Active (or past — tolerated for robustness) bucket: keep the
-            // drain order exact. Executors only schedule at or after "now",
-            // so such an event is always still undelivered.
-            self.insert_current(ev);
-        } else if b < self.horizon() {
-            let s = (b & self.mask) as usize;
-            self.buckets[s].push(ev);
-            self.set_occupied(s);
-            self.wheel_len += 1;
-        } else {
-            self.overflow.push(HeapEntry(ev));
-        }
+        let (data, port) = match ev.kind {
+            EventKind::Timer(k) => (k, None),
+            EventKind::Message(port, msg) => {
+                let slot = match self.free.pop() {
+                    Some(slot) => {
+                        self.slab[slot] = Some(msg);
+                        slot
+                    }
+                    None => {
+                        self.slab.push(Some(msg));
+                        self.slab.len() - 1
+                    }
+                };
+                (slot as u64, Some(port))
+            }
+        };
+        self.heap.push(SlabEntry { key: ev.key, data, port });
     }
 
-    fn peek_key(&mut self) -> Option<EventKey> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.current.is_empty() {
-            self.advance();
-        }
-        self.current.last().map(|e| e.key)
+    fn peek_key(&self) -> Option<EventKey> {
+        self.heap.peek().map(|e| e.key)
     }
 
+    #[inline]
     fn pop(&mut self) -> Option<Event<M>> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.current.is_empty() {
-            self.advance();
-        }
-        let ev = self.current.pop();
-        debug_assert!(ev.is_some());
-        self.len -= 1;
-        ev
+        let e = self.heap.pop()?;
+        Some(self.take(e))
     }
 
+    #[inline]
     fn pop_before(&mut self, bound_ps: u64) -> Option<Event<M>> {
-        if self.len == 0 {
+        if self.heap.peek()?.key.time.as_picos() >= bound_ps {
             return None;
         }
-        if self.current.is_empty() {
-            self.advance();
-        }
-        let head = self.current.last().expect("advance left current empty");
-        if head.key.time.as_picos() >= bound_ps {
-            return None;
-        }
-        self.len -= 1;
-        self.current.pop()
+        self.pop()
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{ComponentId, EventKind};
+    use crate::event::ComponentId;
     use crate::time::SimTime;
 
-    fn ev(time_ps: u64, target: u32, seq: u64) -> Event<()> {
-        Event {
-            key: EventKey {
-                time: SimTime::from_picos(time_ps),
-                target: ComponentId(target),
-                source: ComponentId(0),
-                source_seq: seq,
-            },
-            kind: EventKind::Timer(0),
+    fn key(time_ps: u64, target: u32, seq: u64) -> EventKey {
+        EventKey {
+            time: SimTime::from_picos(time_ps),
+            target: ComponentId(target),
+            source: ComponentId(0),
+            source_seq: seq,
         }
     }
 
-    fn drain_keys<Q: EventQueue<()>>(q: &mut Q) -> Vec<EventKey> {
+    fn ev(time_ps: u64, target: u32, seq: u64) -> Event<()> {
+        Event { key: key(time_ps, target, seq), kind: EventKind::Timer(0) }
+    }
+
+    fn drain_keys<M, Q: EventQueue<M>>(q: &mut Q) -> Vec<EventKey> {
         core::iter::from_fn(|| q.pop().map(|e| e.key)).collect()
+    }
+
+    /// The speed of the queue rests on payloads staying out of the heap:
+    /// measured on a queue of 128-byte payloads, an entry that held `M`
+    /// inline would fail here.
+    #[test]
+    fn heap_entry_is_at_most_40_bytes() {
+        fn entry_size<T>(_: &BinaryHeap<T>) -> usize {
+            core::mem::size_of::<T>()
+        }
+        assert!(entry_size(&SlabQueue::<[u8; 128]>::new().heap) <= 40);
     }
 
     #[test]
     fn empty_queue_behaves() {
-        let mut q = CalendarQueue::<()>::new();
+        let mut q = SlabQueue::<()>::new();
         assert!(q.is_empty());
         assert_eq!(q.peek_key(), None);
         assert!(q.pop().is_none());
+        assert!(q.pop_before(u64::MAX).is_none());
     }
 
     #[test]
-    fn near_events_pop_in_key_order() {
-        let mut q = CalendarQueue::<()>::new();
-        // Same bucket, distinct keys, inserted out of order.
+    fn events_pop_in_key_order() {
+        let mut q = SlabQueue::<()>::new();
         q.push(ev(500, 2, 0));
         q.push(ev(500, 1, 1));
         q.push(ev(100, 9, 2));
         q.push(ev(500, 1, 0));
+        q.push(ev(200_000_000_000, 0, 3));
         let got = drain_keys(&mut q);
-        assert_eq!(got.len(), 4);
+        assert_eq!(got.len(), 5);
         assert!(got.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(got[0].time, SimTime::from_picos(100));
     }
 
     #[test]
-    fn far_future_events_go_through_overflow() {
-        let mut q = CalendarQueue::<()>::with_params(4, 2); // 16 ps buckets, 4 slots
-        q.push(ev(5, 0, 0));
-        // 200 "ms" analogue: far beyond the 64 ps wheel horizon.
-        q.push(ev(1_000_000, 0, 1));
-        q.push(ev(40, 0, 2));
-        assert_eq!(q.len(), 3);
-        let got = drain_keys(&mut q);
-        assert_eq!(
-            got.iter().map(|k| k.time.as_picos()).collect::<Vec<_>>(),
-            vec![5, 40, 1_000_000]
-        );
+    fn pop_before_is_strict() {
+        let mut q = SlabQueue::<()>::new();
+        q.push(ev(100, 0, 0));
+        assert!(q.pop_before(100).is_none());
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_before(101).map(|e| e.key), Some(key(100, 0, 0)));
         assert!(q.is_empty());
     }
 
     #[test]
-    fn interleaved_push_pop_matches_heap() {
-        let mut cal = CalendarQueue::<()>::with_params(6, 3);
-        let mut heap = HeapQueue::<()>::new();
-        let mut x = 0x2545F4914F6CDD1Du64;
-        let mut next = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let mut popped = Vec::new();
-        let mut reference = Vec::new();
-        for round in 0..2_000u64 {
-            let t = next() % 50_000;
-            let e = ev(t, (next() % 7) as u32, round);
-            cal.push(e.clone());
-            heap.push(e);
-            if round % 3 == 0 {
-                for _ in 0..(next() % 3) {
-                    if let Some(a) = cal.pop() {
-                        popped.push(a.key);
-                    }
-                    if let Some(b) = heap.pop() {
-                        reference.push(b.key);
-                    }
-                }
-            }
-        }
-        popped.extend(drain_keys(&mut cal));
-        reference.extend(drain_keys(&mut heap));
-        assert_eq!(popped, reference);
-    }
-
-    #[test]
-    fn push_into_active_bucket_keeps_order() {
-        let mut q = CalendarQueue::<()>::with_params(10, 4); // 1024 ps buckets
-        q.push(ev(100, 5, 0));
-        q.push(ev(100, 7, 1));
+    fn timers_and_messages_keep_their_payloads() {
+        let mut q = SlabQueue::<String>::new();
+        q.push(Event { key: key(30, 0, 0), kind: EventKind::Message(PortNo(3), "c".into()) });
+        q.push(Event { key: key(10, 0, 1), kind: EventKind::Message(PortNo(1), "a".into()) });
+        q.push(Event { key: key(20, 0, 2), kind: EventKind::Timer(77) });
         let first = q.pop().unwrap();
-        assert_eq!(first.key.target, ComponentId(5));
-        // Schedule into the bucket being drained, both before and after the
-        // remaining event's key.
-        q.push(ev(100, 6, 2));
-        q.push(ev(100, 8, 3));
-        let order: Vec<u32> = drain_keys(&mut q).iter().map(|k| k.target.0).collect();
-        assert_eq!(order, vec![6, 7, 8]);
-    }
-
-    #[test]
-    fn len_tracks_all_tiers() {
-        let mut q = CalendarQueue::<()>::with_params(4, 2);
-        q.push(ev(1, 0, 0)); // current/wheel
-        q.push(ev(100, 0, 1)); // wheel or overflow
-        q.push(ev(1 << 40, 0, 2)); // overflow
-        assert_eq!(q.len(), 3);
-        q.pop();
-        assert_eq!(q.len(), 2);
-        drain_keys(&mut q);
-        assert_eq!(q.len(), 0);
+        assert!(matches!(first.kind, EventKind::Message(PortNo(1), ref m) if m == "a"));
+        // The freed slot is reused by the next message, not appended.
+        q.push(Event { key: key(40, 0, 3), kind: EventKind::Message(PortNo(4), "d".into()) });
+        assert_eq!(q.slab.len(), 2);
+        let rest: Vec<_> = core::iter::from_fn(|| q.pop()).map(|e| e.kind).collect();
+        assert!(matches!(rest[0], EventKind::Timer(77)));
+        assert!(matches!(rest[1], EventKind::Message(PortNo(3), ref m) if m == "c"));
+        assert!(matches!(rest[2], EventKind::Message(PortNo(4), ref m) if m == "d"));
+        assert_eq!(q.free.len(), 2);
     }
 }

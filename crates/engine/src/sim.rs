@@ -3,7 +3,7 @@
 use crate::component::{Component, Ctx};
 use crate::error::EngineError;
 use crate::event::{ComponentId, Event, EventKey, EventKind, TimerKey};
-use crate::sched::{CalendarQueue, EventQueue};
+use crate::sched::{EventQueue, SlabQueue};
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::time::SimTime;
 
@@ -23,16 +23,16 @@ pub struct RunStats {
 /// Components are registered before the first run; events are then
 /// dispatched in the deterministic total order described in
 /// [`crate::event`]. Scheduling goes through the [`EventQueue`] trait and
-/// defaults to the two-tier [`CalendarQueue`] (amortized O(1) dispatch for
-/// near-future events); instantiate `Simulation<M, HeapQueue<M>>` to run on
-/// the reference binary heap instead. For multi-million-node experiments
+/// defaults to [`SlabQueue`] (a binary heap of compact entries with
+/// payloads in a slab); instantiate `Simulation<M, HeapQueue<M>>` to run on
+/// the reference heap of whole events instead. For multi-million-node experiments
 /// the [`ParallelSimulation`](crate::parallel::ParallelSimulation) executor
 /// distributes partitions over host threads with identical results.
 ///
 /// # Examples
 ///
 /// See [`Component`] for a complete runnable example.
-pub struct Simulation<M, Q: EventQueue<M> = CalendarQueue<M>> {
+pub struct Simulation<M, Q: EventQueue<M> = SlabQueue<M>> {
     components: Vec<Box<dyn Component<M>>>,
     seqs: Vec<u64>,
     queue: Q,
