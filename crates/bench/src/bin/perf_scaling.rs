@@ -43,8 +43,7 @@
 //! Every parallel row records both the *effective* worker count
 //! (`workers`, from the executor's report) and the *requested* one
 //! (`workers_requested`), so a silent clamp — more workers asked for than
-//! partitions, or a `DIABLO_WORKERS` override that didn't take — is
-//! visible in the artifact. Rows also carry lane sanity warnings: a
+//! partitions — is visible in the artifact. Rows also carry lane sanity warnings: a
 //! multi-partition run that never sent a cross-partition event, or a
 //! multi-worker run whose exchange lanes stayed empty, almost certainly
 //! isn't measuring what it claims to.
@@ -147,15 +146,14 @@ fn json_fields(m: &Measurement, warnings: &[&str]) -> String {
             s,
             ", \"lookahead_ps\": {}, \"workers\": {}, \"workers_requested\": {}, \
              \"rounds\": {}, \"events_per_round\": {:.1}, \"barrier_wait_ms\": {:.3}, \
-             \"lane_events\": {}, \"dispatch_batches\": {}",
+             \"lane_events\": {}",
             exec.lookahead_ps,
             exec.workers.len(),
             exec.workers_requested,
             exec.rounds(),
             exec.events_per_round(),
             exec.barrier_wait_ns() as f64 / 1e6,
-            exec.lane_events(),
-            exec.dispatch_batches()
+            exec.lane_events()
         )
         .unwrap();
     }

@@ -37,9 +37,9 @@ pub enum RunMode {
         /// the cut's lookahead.
         quantum: Option<SimDuration>,
         /// Worker threads the partitions are multiplexed onto. `None`
-        /// lets the executor decide (`DIABLO_WORKERS` or the host's
-        /// available parallelism, clamped to the partition count). Worker
-        /// count affects scheduling only, never results.
+        /// lets the executor decide (the host's available parallelism,
+        /// clamped to the partition count). Worker count affects
+        /// scheduling only, never results.
         workers: Option<usize>,
     },
 }

@@ -617,7 +617,6 @@ impl Instrumented for crate::stats::ExecReport {
         v.gauge("events_per_round", self.events_per_round());
         v.counter("barrier_wait_ns", self.barrier_wait_ns());
         v.counter("lane_events", self.lane_events());
-        v.counter("dispatch_batches", self.dispatch_batches());
         v.counter("workers", self.workers.len() as u64);
         v.counter("workers_requested", self.workers_requested as u64);
         v.counter("partitions", self.partitions.len() as u64);

@@ -38,17 +38,22 @@
 //!
 //! # Execution machinery
 //!
-//! * **Worker multiplexing.** The pool runs `min(partitions,
-//!   available_parallelism)` threads by default (`DIABLO_WORKERS`
-//!   overrides; [`ParallelSimulation::with_workers`] pins it per instance).
+//! * **Worker multiplexing.** An executor runs `min(partitions,
+//!   available_parallelism)` workers by default
+//!   ([`ParallelSimulation::with_workers`] pins the count per instance).
 //!   Each worker owns a contiguous block of partitions and merges their
 //!   events through one [`SlabQueue`], dispatching in the global
 //!   [`crate::event::EventKey`] order. Worker count affects scheduling
 //!   only — results are bit-identical for every worker count (see the
 //!   conformance tests).
-//! * **Persistent worker pool.** Threads are spawned once, on the first
-//!   [`ParallelSimulation::run_until`] call, and parked on a condvar
-//!   between runs. Repeated `run_until` calls reuse the same OS threads.
+//! * **Scoped threads for each run.** [`ParallelSimulation::run_until`]
+//!   runs worker 0 on the calling thread and workers `1..n` on threads
+//!   started with [`std::thread::scope`], each borrowing its own
+//!   [`WorkerState`] mutably and the run's shared `Exchange` immutably.
+//!   The scope joins every thread before `run_until` returns, so no
+//!   thread, lock or handoff outlives a run; a one-worker executor starts
+//!   no thread at all. A run calls `run_until` only a handful of times
+//!   (horizon polls and settle steps), so the spawn costs microseconds.
 //! * **Lock-free cross-worker lanes.** Each ordered worker pair owns a
 //!   cache-line-aligned, *parity double-buffered* SPSC lane. During a
 //!   round, worker `s` appends outbound events to a local outbox and then
@@ -65,27 +70,15 @@
 //!   then `yield_now`, then a timed condvar wait — so oversubscribed or
 //!   idle workers don't burn the bus (the old ticket barrier's worst
 //!   path). Min/flag slots are parity double-buffered like the lanes.
-//! * **Batched dispatch.** Inside a round, consecutive events for the same
-//!   component are dispatched as one *batch*: one directory lookup, one
-//!   component borrow, and one routing epilogue (cross-partition checks,
-//!   outbox-minimum fold, in-round horizon clamp) per batch instead of per
-//!   event. The published-minimum scan over the `mins`/`flags` arrays runs
-//!   exactly once per round; the dispatch fast path touches no shared
-//!   state at all. See `run_worker`.
-//! * **Per-worker arenas.** Every scratch buffer on the steady-state path —
-//!   the emitted-event buffer, the per-destination outboxes, the queue's
-//!   heap and payload slab, the exchange lanes — lives in [`WorkerState`]
-//!   or the pool and is reused across rounds *and* across `run_until`
-//!   calls, so the hot path performs no per-event heap allocation once
-//!   capacities have warmed up.
-//! * **Lock-free round boundary *and* run boundary.** Rounds never take a
-//!   lock: a round is barrier → concurrent lane drain → barrier, with the
-//!   exchange running over the parity lanes and the decision over the
-//!   atomic min/flag arrays. The per-run handoff of worker states and
-//!   results uses the same single-owner pattern ([`HandoffCell`]): plain
-//!   `UnsafeCell`s whose ownership alternates between the coordinator and
-//!   one worker, with the job-control rendezvous providing the
-//!   happens-before edges — no per-slot mutexes.
+//! * **One event per dispatch.** Inside a round a worker pops one event,
+//!   dispatches it, and routes what it emitted (cross-partition checks,
+//!   outbox-minimum fold, in-round horizon clamp). The published-minimum
+//!   scan over the `mins`/`flags` arrays runs exactly once per round; the
+//!   dispatch path touches no shared state. See `run_worker`.
+//! * **Buffers that survive runs.** The emitted-event buffer, the
+//!   per-destination outboxes and the queue live in [`WorkerState`], so
+//!   their capacity carries over from round to round and run to run. Only
+//!   the exchange (barrier, minima, flags, lanes) is rebuilt per run.
 //!
 //! The barrier is *poisonable*: if a component handler panics on a worker,
 //! the barrier wakes every other worker with an error instead of
@@ -115,8 +108,7 @@ use crate::time::{SimDuration, SimTime};
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Condvar, Mutex};
 
 /// Abstracts over the serial and parallel executors so cluster builders can
 /// target either.
@@ -164,8 +156,8 @@ impl<M: 'static, Q: EventQueue<M> + Default> ComponentHost<M> for Simulation<M, 
     }
 }
 
-/// Resolves the *requested* worker count: the `DIABLO_WORKERS` environment
-/// variable if set, else the host's available parallelism (at least 1).
+/// Resolves the *requested* worker count: the host's available
+/// parallelism (at least 1).
 ///
 /// The request is deliberately not clamped to the partition count here:
 /// [`ParallelSimulation::with_workers`] performs that clamp and records
@@ -173,9 +165,7 @@ impl<M: 'static, Q: EventQueue<M> + Default> ComponentHost<M> for Simulation<M, 
 /// worker count stays diagnosable from the executor's
 /// [`ExecReport`] (`workers_requested` vs. the per-worker entries).
 fn requested_workers() -> usize {
-    let from_env = std::env::var("DIABLO_WORKERS").ok().and_then(|s| s.parse::<usize>().ok());
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    from_env.unwrap_or(hw).max(1)
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Per-partition execution counters. Components themselves live in the
@@ -218,45 +208,36 @@ struct WorkerState<M> {
     /// Per-destination-worker outboxes, swapped into lanes at round end.
     /// Kept in the state so buffer capacity survives across rounds/runs.
     outboxes: Vec<Vec<Event<M>>>,
-    /// Reusable buffer for events emitted by one dispatch batch (the
-    /// per-worker arena: capacity survives across rounds and runs, so the
-    /// steady-state dispatch path performs no heap allocation).
+    /// Reusable buffer for the events one dispatch emits; its capacity
+    /// survives across rounds and runs.
     pending: Vec<Event<M>>,
     last_time: SimTime,
     /// Barrier rounds completed.
     rounds: u64,
-    /// Rounds in which at least one event was dispatched.
-    busy_rounds: u64,
     /// Wall-clock nanoseconds spent waiting at the barrier.
     barrier_wait_ns: u64,
     /// Total events received through lanes.
     lane_events: u64,
-    /// Largest single-round lane drain.
-    lane_peak: u64,
-    /// Same-component dispatch batches executed (events per batch =
-    /// events / batches; higher means the batching fast path is paying).
-    batches: u64,
 }
 
 impl<M> WorkerState<M> {
-    fn new(lo: usize) -> Self {
+    /// A worker owning `nparts` partitions from `lo`, exchanging with
+    /// `nworkers` workers in all.
+    fn new(lo: usize, nparts: usize, nworkers: usize) -> Self {
         WorkerState {
             lo,
             ids: Vec::new(),
             comps: Vec::new(),
             seqs: Vec::new(),
             part_of: Vec::new(),
-            counters: Vec::new(),
+            counters: vec![PartCounters::default(); nparts],
             queue: SlabQueue::new(),
-            outboxes: Vec::new(),
+            outboxes: (0..nworkers).map(|_| Vec::new()).collect(),
             pending: Vec::new(),
             last_time: SimTime::ZERO,
             rounds: 0,
-            busy_rounds: 0,
             barrier_wait_ns: 0,
             lane_events: 0,
-            lane_peak: 0,
-            batches: 0,
         }
     }
 }
@@ -413,7 +394,7 @@ impl SenseBarrier {
 /// round `r` a writer only swaps into parity `r % 2` lanes and a reader
 /// only drains parity `(r - 1) % 2` lanes (written the previous round), so
 /// accesses to one buffer from the two threads are always separated by at
-/// least one intervening pool barrier, which provides the happens-before
+/// least one intervening barrier, which provides the happens-before
 /// edge. The alignment keeps neighboring lanes off each other's cache
 /// lines.
 #[repr(align(128))]
@@ -434,76 +415,28 @@ fn lane_idx(n: usize, parity: usize, src: usize, dst: usize) -> usize {
     (parity * n + src) * n + dst
 }
 
-/// A single-owner handoff cell: the lock-free analogue of the old
-/// per-slot `Mutex` used for loaning worker states and collecting results
-/// across a run boundary.
-///
-/// # Safety protocol
-///
-/// Ownership of the contents alternates strictly between the coordinating
-/// thread and exactly one worker thread, with the job-control rendezvous
-/// providing the happens-before edges — the same discipline the parity
-/// [`Lane`]s use, applied to the run boundary:
-///
-/// * coordinator → worker: the coordinator writes every cell *before*
-///   bumping `JobCtl::epoch` under the job mutex; worker `w` reads its
-///   cells only *after* observing the new epoch under the same mutex.
-/// * worker → coordinator: worker `w` writes its cells *before* bumping
-///   `JobCtl::done` under the job mutex; the coordinator reads them only
-///   *after* observing `done == nworkers` under the same mutex.
-///
-/// Between those two edges, cell `w` is touched by worker `w` alone; at
-/// every other instant, by the coordinator alone. The single-worker inline
-/// path runs entirely on the coordinating thread and needs no edge at all.
-struct HandoffCell<T>(UnsafeCell<T>);
-
-// SAFETY: the rendezvous protocol above guarantees exclusive, alternating
-// access; `T: Send` because the contents move between threads.
-unsafe impl<T: Send> Sync for HandoffCell<T> {}
-
-impl<T> HandoffCell<T> {
-    fn new(v: T) -> Self {
-        HandoffCell(UnsafeCell::new(v))
-    }
-
-    /// # Safety
-    ///
-    /// The caller must hold the cell's logical ownership per the protocol
-    /// above (be the coordinator outside a job, or worker `w` inside one).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get(&self) -> &mut T {
-        &mut *self.0.get()
-    }
-}
-
-/// Parameters of one `run_until` call, published to the workers.
-#[derive(Clone, Copy, Default)]
-struct JobSpec {
-    start_now: SimTime,
-    exclusive_end: u64,
-    first_run: bool,
-}
-
-struct JobCtl {
-    epoch: u64,
-    done: usize,
-    shutdown: bool,
-    spec: JobSpec,
-}
-
-/// State shared between the coordinating thread and the workers.
-struct PoolShared<M> {
+/// Everything the workers of one `run_until` call share: the run's
+/// parameters, the component directory, and the round protocol's barrier,
+/// published minima and flags, and lanes. Built per run and dropped with
+/// it; lanes are empty at every run boundary (each round drains the
+/// previous round's flush before the break decision), so nothing here
+/// needs to outlive a run.
+struct Exchange<'a, M> {
     /// Worker (thread) count, not partition count.
     nworkers: usize,
     /// Conservative lookahead: cross-partition events arrive at least this
     /// long after they are sent, in picoseconds.
     lookahead_ps: u64,
     /// Global component id -> (partition, flat index within the owning
-    /// worker); frozen at pool creation (components cannot be added after
-    /// the first run).
-    directory: Vec<(u32, u32)>,
+    /// worker).
+    directory: &'a [(u32, u32)],
     /// Partition -> owning worker.
-    part_worker: Vec<u32>,
+    part_worker: &'a [u32],
+    start_now: SimTime,
+    /// First instant the run must not process (`limit + 1`).
+    exclusive_end: u64,
+    /// Whether components still need their `on_start` call.
+    first_run: bool,
     barrier: SenseBarrier,
     /// Published per-worker queue minima, parity double-buffered:
     /// `mins[parity * nworkers + worker]`.
@@ -513,134 +446,24 @@ struct PoolShared<M> {
     /// SPSC exchange lanes, `2 * nworkers * nworkers` of them (see
     /// [`Lane`]).
     lanes: Vec<Lane<M>>,
-    /// Handoff cells loaning each worker's state to its thread (see
-    /// [`HandoffCell`] for the lock-free ownership protocol).
-    slots: Vec<HandoffCell<Option<WorkerState<M>>>>,
-    /// Per-worker `(last event time, stopped)` results.
-    results: Vec<HandoffCell<(SimTime, bool)>>,
-    /// First error raised by each worker.
-    errors: Vec<HandoffCell<Option<EngineError>>>,
-    job: Mutex<JobCtl>,
-    job_cv: Condvar,
-    done_cv: Condvar,
-    panicked: AtomicBool,
 }
 
-/// The persistent worker pool: spawned on the first run and parked on a
-/// condvar between runs.
-struct WorkerPool<M> {
-    shared: Arc<PoolShared<M>>,
-    handles: Vec<JoinHandle<()>>,
-}
+/// What one worker's run returns: its last event time, whether a component
+/// stopped the run, and the first error it raised.
+type WorkerOutcome = (SimTime, bool, Option<EngineError>);
 
-impl<M: Send + 'static> WorkerPool<M> {
-    /// Builds the shared state and, when `spawn_threads` is set, one thread
-    /// per worker. A single-worker executor keeps the shared state (the
-    /// directory, barrier, and error slots all live there) but runs its
-    /// jobs inline on the coordinating thread instead — see `run_until`.
-    fn spawn(
-        nworkers: usize,
-        lookahead_ps: u64,
-        directory: Vec<(u32, u32)>,
-        part_worker: Vec<u32>,
-        spawn_threads: bool,
-    ) -> Self {
-        let shared = Arc::new(PoolShared {
-            nworkers,
-            lookahead_ps,
-            directory,
-            part_worker,
-            barrier: SenseBarrier::new(nworkers),
-            mins: (0..2 * nworkers).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            flags: (0..2 * nworkers).map(|_| AtomicU64::new(0)).collect(),
-            lanes: (0..2 * nworkers * nworkers).map(|_| Lane::new()).collect(),
-            slots: (0..nworkers).map(|_| HandoffCell::new(None)).collect(),
-            results: (0..nworkers).map(|_| HandoffCell::new((SimTime::ZERO, false))).collect(),
-            errors: (0..nworkers).map(|_| HandoffCell::new(None)).collect(),
-            job: Mutex::new(JobCtl {
-                epoch: 0,
-                done: 0,
-                shutdown: false,
-                spec: JobSpec::default(),
-            }),
-            job_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            panicked: AtomicBool::new(false),
-        });
-        let handles = if spawn_threads {
-            (0..nworkers)
-                .map(|me| {
-                    let shared = Arc::clone(&shared);
-                    std::thread::Builder::new()
-                        .name(format!("diablo-wkr-{me}"))
-                        .spawn(move || worker_main(shared, me))
-                        .expect("spawn pool worker")
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        WorkerPool { shared, handles }
+/// Runs worker `me` with its panics caught: a panicking handler poisons
+/// the barrier so every sibling returns instead of waiting forever.
+fn run_caught<M: Send + 'static>(
+    ex: &Exchange<'_, M>,
+    me: usize,
+    ws: &mut WorkerState<M>,
+) -> std::thread::Result<WorkerOutcome> {
+    let outcome = catch_unwind(AssertUnwindSafe(|| run_worker(ex, me, ws)));
+    if outcome.is_err() {
+        ex.barrier.poison();
     }
-}
-
-impl<M> Drop for WorkerPool<M> {
-    fn drop(&mut self) {
-        {
-            let mut job = self.shared.job.lock().expect("pool job mutex");
-            job.shutdown = true;
-        }
-        self.shared.job_cv.notify_all();
-        for h in self.handles.drain(..) {
-            // A worker stuck in a poisoned barrier has already been woken
-            // with an error; joining is safe. Ignore panicked workers.
-            let _ = h.join();
-        }
-    }
-}
-
-/// Body of each pool thread: wait for a job epoch, run the owned
-/// partitions, hand the state back, report completion.
-fn worker_main<M: Send + 'static>(shared: Arc<PoolShared<M>>, me: usize) {
-    let mut seen_epoch = 0u64;
-    // Sense-barrier thread-local flag; all workers cross the same number
-    // of barriers per job, keeping it consistent across epochs.
-    let mut sense = true;
-    loop {
-        let spec = {
-            let mut job = shared.job.lock().expect("pool job mutex");
-            loop {
-                if job.shutdown {
-                    return;
-                }
-                if job.epoch != seen_epoch {
-                    break;
-                }
-                job = shared.job_cv.wait(job).expect("pool job condvar");
-            }
-            seen_epoch = job.epoch;
-            job.spec
-        };
-        // SAFETY (all three cells below): we observed the new epoch under
-        // the job mutex, so per the HandoffCell protocol this worker holds
-        // the cells' logical ownership until it bumps `done`.
-        let mut ws = unsafe { shared.slots[me].get() }.take().expect("worker state was not loaned");
-        let outcome =
-            catch_unwind(AssertUnwindSafe(|| run_worker(&shared, me, &mut ws, &spec, &mut sense)));
-        match outcome {
-            Ok(result) => unsafe { *shared.results[me].get() = result },
-            Err(_) => {
-                shared.panicked.store(true, Ordering::SeqCst);
-                shared.barrier.poison();
-            }
-        }
-        unsafe { *shared.slots[me].get() = Some(ws) };
-        let mut job = shared.job.lock().expect("pool job mutex");
-        job.done += 1;
-        if job.done == shared.nworkers {
-            shared.done_cv.notify_all();
-        }
-    }
+    outcome
 }
 
 const FLAG_STOP: u64 = 1;
@@ -652,20 +475,18 @@ const FLAG_ERR: u64 = 2;
 /// parity → process every owned event up to this round's lookahead horizon
 /// → swap outboxes into outgoing lanes of the new parity.
 fn run_worker<M: Send + 'static>(
-    shared: &PoolShared<M>,
+    ex: &Exchange<'_, M>,
     me: usize,
     ws: &mut WorkerState<M>,
-    spec: &JobSpec,
-    sense: &mut bool,
-) -> (SimTime, bool) {
-    let nw = shared.nworkers;
-    let directory: &[(u32, u32)] = &shared.directory;
-    let part_worker: &[u32] = &shared.part_worker;
-    let lookahead = shared.lookahead_ps;
-    let mut local_now = spec.start_now;
+) -> WorkerOutcome {
+    let nw = ex.nworkers;
+    let lookahead = ex.lookahead_ps;
+    let mut local_now = ex.start_now;
     let mut stopped = false;
     let mut pending_stop = false;
     let mut pending_err: Option<EngineError> = None;
+    // Sense-barrier flag; the barrier is fresh for every run.
+    let mut sense = true;
     // Parity the *next* publish/drain round uses; flipped each round.
     let mut parity = 0usize;
     // Minimum delivery time among events flushed to lanes since the last
@@ -673,27 +494,25 @@ fn run_worker<M: Send + 'static>(
     // also covers in-flight messages.
     let mut sent_min = u64::MAX;
 
-    ws.outboxes.resize_with(nw, Vec::new);
-
-    if spec.first_run {
+    if ex.first_run {
         // Phase 0: component starts. The resulting events are exchanged
         // through the lanes before anything is processed, so
         // cross-partition deliveries have no lookahead bound here
         // (`earliest_ok = start_now` admits everything).
-        let start_ps = spec.start_now.as_picos();
+        let start_ps = ex.start_now.as_picos();
         for i in 0..ws.comps.len() {
             let part_id = ws.part_of[i];
             let id = ws.ids[i];
             let mut stop = false;
-            let mut ctx = Ctx::new(spec.start_now, id, &mut ws.seqs[i], &mut ws.pending, &mut stop);
+            let mut ctx = Ctx::new(ex.start_now, id, &mut ws.seqs[i], &mut ws.pending, &mut stop);
             ws.comps[i].on_start(&mut ctx);
             pending_stop |= stop;
             let mut cross = 0u64;
             let mut outbox_min = u64::MAX;
             for ev in ws.pending.drain(..) {
                 if let Err(e) = route_one(
-                    directory,
-                    part_worker,
+                    ex.directory,
+                    ex.part_worker,
                     me,
                     part_id,
                     &mut ws.queue,
@@ -709,7 +528,7 @@ fn run_worker<M: Send + 'static>(
             }
             ws.counters[part_id as usize - ws.lo].sent_cross += cross;
         }
-        flush_outboxes(shared, me, parity, &mut ws.outboxes, &mut sent_min);
+        flush_outboxes(ex, me, parity, &mut ws.outboxes, &mut sent_min);
     }
 
     loop {
@@ -724,21 +543,18 @@ fn run_worker<M: Send + 'static>(
         let inflight_min = sent_min;
         let my_min = queue_min.min(sent_min);
         sent_min = u64::MAX;
-        shared.mins[parity * nw + me].store(my_min, Ordering::Release);
+        ex.mins[parity * nw + me].store(my_min, Ordering::Release);
         let mut f = 0;
         if pending_stop {
             f |= FLAG_STOP;
         }
-        if let Some(e) = pending_err.take() {
+        if pending_err.is_some() {
             f |= FLAG_ERR;
-            // SAFETY: called from within a job; worker `me` owns its error
-            // cell until it reports completion (see HandoffCell).
-            unsafe { shared.errors[me].get() }.get_or_insert(e);
         }
-        shared.flags[parity * nw + me].store(f, Ordering::Release);
+        ex.flags[parity * nw + me].store(f, Ordering::Release);
 
         let wait_start = std::time::Instant::now();
-        if shared.barrier.wait(sense).is_err() {
+        if ex.barrier.wait(&mut sense).is_err() {
             // A sibling panicked; bail out with whatever state we have.
             break;
         }
@@ -746,7 +562,6 @@ fn run_worker<M: Send + 'static>(
         ws.rounds += 1;
 
         // Drain lanes written toward us before the barrier (same parity).
-        let mut drained = 0u64;
         for src in 0..nw {
             if src == me {
                 continue;
@@ -755,28 +570,26 @@ fn run_worker<M: Send + 'static>(
             // this parity's buffer happened before the barrier we just
             // crossed, and its next access is after the barrier we cross
             // next round.
-            let buf = unsafe { &mut *shared.lanes[lane_idx(nw, parity, src, me)].0.get() };
-            drained += buf.len() as u64;
+            let buf = unsafe { &mut *ex.lanes[lane_idx(nw, parity, src, me)].0.get() };
+            ws.lane_events += buf.len() as u64;
             for ev in buf.drain(..) {
-                let (p, _) = directory[ev.key.target.index()];
+                let (p, _) = ex.directory[ev.key.target.index()];
                 ws.counters[p as usize - ws.lo].recv_cross += 1;
                 ws.queue.push(ev);
             }
         }
-        ws.lane_events += drained;
-        ws.lane_peak = ws.lane_peak.max(drained);
 
         // Decide from this round's published snapshot.
         let mut others_min = u64::MAX;
         let mut global_min = u64::MAX;
         let mut any_flags = 0u64;
         for i in 0..nw {
-            let m = shared.mins[parity * nw + i].load(Ordering::Acquire);
+            let m = ex.mins[parity * nw + i].load(Ordering::Acquire);
             global_min = global_min.min(m);
             if i != me {
                 others_min = others_min.min(m);
             }
-            any_flags |= shared.flags[parity * nw + i].load(Ordering::Acquire);
+            any_flags |= ex.flags[parity * nw + i].load(Ordering::Acquire);
         }
         if any_flags & FLAG_ERR != 0 {
             break;
@@ -785,7 +598,7 @@ fn run_worker<M: Send + 'static>(
             stopped = true;
             break;
         }
-        if global_min >= spec.exclusive_end {
+        if global_min >= ex.exclusive_end {
             break;
         }
         parity = 1 - parity;
@@ -797,7 +610,7 @@ fn run_worker<M: Send + 'static>(
         // that is safe to process now. With one worker the bound
         // degenerates to the run limit — the whole run in a single round.
         let mut horizon =
-            others_min.min(inflight_min).saturating_add(lookahead).min(spec.exclusive_end);
+            others_min.min(inflight_min).saturating_add(lookahead).min(ex.exclusive_end);
 
         // Process every owned event inside the horizon in EventKey order.
         // The horizon is clamped *during* the round: once this worker hands
@@ -808,59 +621,30 @@ fn run_worker<M: Send + 'static>(
         // routed within this worker stay in its ordered queue and need no
         // clamp.) Previously processed events are unaffected: pops are in
         // time order and `d + lookahead` is strictly in the future.
-        // The loop is *batched*: once a component is resolved, consecutive
-        // queue-head events for the same component are dispatched under a
-        // single directory lookup and component borrow, and the routing
-        // epilogue below (cross-partition checks, outbox-minimum fold,
-        // horizon clamp) runs once per batch. The batch may only continue
-        // while the previous event emitted nothing (`pending` empty): the
-        // queue head is this worker's globally next event, so the dispatch
-        // order is identical to the unbatched loop, and an empty `pending`
-        // means the epilogue would have been a no-op for every skipped
-        // per-event iteration.
-        let mut processed_any = false;
-        'horizon: while !pending_stop {
-            let Some(mut ev) = ws.queue.pop_before(horizon) else { break };
+        while !pending_stop && pending_err.is_none() {
+            let Some(ev) = ws.queue.pop_before(horizon) else { break };
             let target = ev.key.target;
-            let (p, fidx) = directory[target.index()];
+            let (p, fidx) = ex.directory[target.index()];
             let prel = p as usize - ws.lo;
             let fidx = fidx as usize;
             debug_assert_eq!(ws.ids[fidx], target);
+            local_now = ev.key.time;
             let mut stop = false;
-            let mut batch = 0u64;
-            {
-                let comp = &mut ws.comps[fidx];
-                loop {
-                    local_now = ev.key.time;
-                    let mut ctx =
-                        Ctx::new(local_now, target, &mut ws.seqs[fidx], &mut ws.pending, &mut stop);
-                    match ev.kind {
-                        EventKind::Timer(key) => comp.on_timer(key, &mut ctx),
-                        EventKind::Message(port, msg) => comp.on_message(port, msg, &mut ctx),
-                    }
-                    batch += 1;
-                    if !ws.pending.is_empty() || stop {
-                        break;
-                    }
-                    match ws.queue.peek_key() {
-                        Some(k) if k.target == target && k.time.as_picos() < horizon => {
-                            ev = ws.queue.pop_before(horizon).expect("peeked event");
-                        }
-                        _ => break,
-                    }
-                }
+            let mut ctx =
+                Ctx::new(local_now, target, &mut ws.seqs[fidx], &mut ws.pending, &mut stop);
+            match ev.kind {
+                EventKind::Timer(key) => ws.comps[fidx].on_timer(key, &mut ctx),
+                EventKind::Message(port, msg) => ws.comps[fidx].on_message(port, msg, &mut ctx),
             }
-            ws.counters[prel].events_processed += batch;
-            ws.batches += 1;
-            processed_any = true;
+            ws.counters[prel].events_processed += 1;
             pending_stop |= stop;
             let earliest_ok = local_now.as_picos().saturating_add(lookahead);
             let mut cross = 0u64;
             let mut outbox_min = u64::MAX;
             for out in ws.pending.drain(..) {
                 if let Err(e) = route_one(
-                    directory,
-                    part_worker,
+                    ex.directory,
+                    ex.part_worker,
                     me,
                     p,
                     &mut ws.queue,
@@ -871,36 +655,32 @@ fn run_worker<M: Send + 'static>(
                     out,
                 ) {
                     pending_err.get_or_insert(e);
-                    ws.counters[prel].sent_cross += cross;
-                    break 'horizon;
+                    break;
                 }
             }
             ws.counters[prel].sent_cross += cross;
             horizon = horizon.min(outbox_min.saturating_add(lookahead));
-        }
-        if processed_any {
-            ws.busy_rounds += 1;
         }
         ws.last_time = ws.last_time.max(local_now);
 
         // Hand this round's cross-worker events to their destinations:
         // swap each non-empty outbox into the matching lane of the *new*
         // parity (drained by the receiver after the next barrier).
-        flush_outboxes(shared, me, parity, &mut ws.outboxes, &mut sent_min);
+        flush_outboxes(ex, me, parity, &mut ws.outboxes, &mut sent_min);
     }
-    (ws.last_time, stopped)
+    (ws.last_time, stopped, pending_err)
 }
 
 /// Swaps non-empty outboxes into this worker's outgoing lanes of the given
 /// parity, folding sent delivery times into `sent_min`.
 fn flush_outboxes<M: Send>(
-    shared: &PoolShared<M>,
+    ex: &Exchange<'_, M>,
     me: usize,
     parity: usize,
     outboxes: &mut [Vec<Event<M>>],
     sent_min: &mut u64,
 ) {
-    let nw = shared.nworkers;
+    let nw = ex.nworkers;
     for (dst, out) in outboxes.iter_mut().enumerate() {
         if out.is_empty() {
             continue;
@@ -911,14 +691,14 @@ fn flush_outboxes<M: Send>(
         // SAFETY: we are the only writer of (me, dst) lanes, and the
         // receiver drained this parity's buffer before the previous
         // barrier; see the Lane protocol.
-        let lane = unsafe { &mut *shared.lanes[lane_idx(nw, parity, me, dst)].0.get() };
+        let lane = unsafe { &mut *ex.lanes[lane_idx(nw, parity, me, dst)].0.get() };
         debug_assert!(lane.is_empty(), "lane reused before the receiver drained it");
         std::mem::swap(lane, out);
     }
 }
 
 /// The multi-threaded executor: components grouped into partitions,
-/// partitions multiplexed onto a persistent pool of worker threads, one
+/// partitions multiplexed onto worker threads started for each run, one
 /// sense-reversing barrier per synchronization round.
 ///
 /// # Examples
@@ -942,7 +722,7 @@ fn flush_outboxes<M: Send>(
 /// assert_eq!(stats.events, 0);
 /// ```
 pub struct ParallelSimulation<M> {
-    /// Per-worker states, loaned to the pool during a run.
+    /// Per-worker states, each borrowed by its worker during a run.
     workers: Vec<WorkerState<M>>,
     /// Partition -> owning worker.
     part_worker: Vec<u32>,
@@ -954,11 +734,9 @@ pub struct ParallelSimulation<M> {
     now: SimTime,
     started: bool,
     external_seq: u64,
-    pool: Option<WorkerPool<M>>,
-    /// Barrier sense flag for the single-worker inline path, persisted
-    /// across `run_until` calls like each pool thread's local flag is.
-    inline_sense: bool,
-    /// The worker count asked for (env/default/explicit), before the clamp
+    /// Set when a component handler panicked; later runs fail fast.
+    poisoned: bool,
+    /// The worker count asked for (default or explicit), before the clamp
     /// to `partitions`; reported so a silently reduced effective count is
     /// diagnosable from the [`ExecReport`] artifact.
     workers_requested: usize,
@@ -972,7 +750,7 @@ impl<M> std::fmt::Debug for ParallelSimulation<M> {
             .field("components", &self.directory.len())
             .field("lookahead", &self.lookahead)
             .field("now", &self.now)
-            .field("pool_running", &self.pool.is_some())
+            .field("poisoned", &self.poisoned)
             .finish()
     }
 }
@@ -982,10 +760,9 @@ impl<M: Send + 'static> ParallelSimulation<M> {
     /// given cross-partition `lookahead` (the synchronization quantum:
     /// cross-partition messages must arrive at least this long after they
     /// are sent). Partitions are multiplexed onto
-    /// `min(partitions, available parallelism)` worker threads — override
-    /// with the `DIABLO_WORKERS` environment variable or
-    /// [`ParallelSimulation::with_workers`]. Threads are spawned lazily on
-    /// the first run and persist until the executor is dropped.
+    /// `min(partitions, available parallelism)` workers — pin the count
+    /// with [`ParallelSimulation::with_workers`]. Each run starts its
+    /// worker threads and joins them before it returns.
     ///
     /// # Panics
     ///
@@ -1012,12 +789,10 @@ impl<M: Send + 'static> ParallelSimulation<M> {
         for w in 0..nworkers {
             let lo = w * partitions / nworkers;
             let hi = (w + 1) * partitions / nworkers;
-            let mut ws = WorkerState::new(lo);
-            ws.counters = vec![PartCounters::default(); hi - lo];
             for owner in &mut part_worker[lo..hi] {
                 *owner = w as u32;
             }
-            worker_states.push(ws);
+            worker_states.push(WorkerState::new(lo, hi - lo, nworkers));
         }
         ParallelSimulation {
             workers: worker_states,
@@ -1029,8 +804,7 @@ impl<M: Send + 'static> ParallelSimulation<M> {
             now: SimTime::ZERO,
             started: false,
             external_seq: 0,
-            pool: None,
-            inline_sense: true,
+            poisoned: false,
         }
     }
 
@@ -1056,40 +830,30 @@ impl<M: Send + 'static> ParallelSimulation<M> {
         self.workers.len()
     }
 
-    /// The worker count that was *requested* (explicitly, via
-    /// `DIABLO_WORKERS`, or from the host's available parallelism) before
-    /// the clamp to the partition count. When this exceeds
-    /// [`ParallelSimulation::worker_count`], the executor silently reduced
-    /// concurrency — the [`ExecReport`] carries both so the reduction shows
-    /// up in metrics artifacts.
+    /// The worker count that was *requested* (explicitly, or from the
+    /// host's available parallelism) before the clamp to the partition
+    /// count. When this exceeds [`ParallelSimulation::worker_count`], the
+    /// executor silently reduced concurrency — the [`ExecReport`] carries
+    /// both so the reduction shows up in metrics artifacts.
     pub fn workers_requested(&self) -> usize {
         self.workers_requested
     }
 
-    /// Total worker threads spawned so far. Zero before the first run, and
-    /// exactly [`ParallelSimulation::worker_count`] afterwards no matter
-    /// how many runs have executed — the pool is persistent. Exception: a
-    /// single-worker executor runs inline on the calling thread and never
-    /// spawns, so this stays zero.
-    pub fn workers_spawned(&self) -> usize {
-        self.pool.as_ref().map_or(0, |p| p.handles.len())
-    }
-
     /// Number of registered components.
     pub fn component_count(&self) -> usize {
-        self.directory().len()
+        self.directory.len()
     }
 
     /// Downcasts a component to its concrete type for inspection.
     pub fn component<T: 'static>(&self, id: ComponentId) -> Option<&T> {
-        let &(p, f) = self.directory().get(id.index())?;
+        let &(p, f) = self.directory.get(id.index())?;
         let w = self.part_worker[p as usize] as usize;
         self.workers[w].comps[f as usize].as_any().downcast_ref::<T>()
     }
 
     /// Mutable variant of [`ParallelSimulation::component`].
     pub fn component_mut<T: 'static>(&mut self, id: ComponentId) -> Option<&mut T> {
-        let &(p, f) = self.directory().get(id.index())?;
+        let &(p, f) = self.directory.get(id.index())?;
         let w = self.part_worker[p as usize] as usize;
         self.workers[w].comps[f as usize].as_any_mut().downcast_mut::<T>()
     }
@@ -1103,7 +867,7 @@ impl<M: Send + 'static> ParallelSimulation<M> {
         &self,
         mut f: impl FnMut(ComponentId, &dyn crate::metrics::Instrumented),
     ) {
-        for (i, &(p, fl)) in self.directory().iter().enumerate() {
+        for (i, &(p, fl)) in self.directory.iter().enumerate() {
             let w = self.part_worker[p as usize] as usize;
             if let Some(ins) = self.workers[w].comps[fl as usize].instrumented() {
                 f(ComponentId(i as u32), ins);
@@ -1136,11 +900,8 @@ impl<M: Send + 'static> ParallelSimulation<M> {
                     worker: w,
                     partitions: ws.counters.len(),
                     rounds: ws.rounds,
-                    busy_rounds: ws.busy_rounds,
                     barrier_wait_ns: ws.barrier_wait_ns,
                     lane_events: ws.lane_events,
-                    lane_peak: ws.lane_peak,
-                    dispatch_batches: ws.batches,
                 })
                 .collect(),
             partitions: self
@@ -1181,121 +942,74 @@ impl<M: Send + 'static> ParallelSimulation<M> {
     /// components, and [`EngineError::WorkerPanicked`] if a component
     /// handler panicked on a worker thread (further runs refuse to start).
     pub fn run_until(&mut self, limit: SimTime) -> Result<RunStats, EngineError> {
+        if self.poisoned {
+            return Err(EngineError::WorkerPanicked);
+        }
         let nw = self.workers.len();
-        let first_run = !self.started;
-        self.started = true;
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::spawn(
-                nw,
-                self.lookahead.as_picos(),
-                std::mem::take(&mut self.directory),
-                self.part_worker.clone(),
-                nw > 1,
-            ));
-        }
-        let shared = Arc::clone(&self.pool.as_ref().expect("pool running").shared);
-        if shared.panicked.load(Ordering::SeqCst) {
-            return Err(EngineError::WorkerPanicked);
-        }
-
         let start_now = self.now;
-        let exclusive_end =
-            if limit == SimTime::MAX { u64::MAX } else { limit.as_picos().saturating_add(1) };
-
-        if nw == 1 {
-            // Single worker: run the job inline on the calling thread.
-            // With nobody to synchronize against, the pool handoff (two
-            // condvar round trips per run) is pure overhead, and on a
-            // loaded host each futex wakeup can cost far more than the
-            // barrier rounds themselves.
-            let spec = JobSpec { start_now, exclusive_end, first_run };
-            let mut sense = self.inline_sense;
-            let ws = &mut self.workers[0];
-            let outcome =
-                catch_unwind(AssertUnwindSafe(|| run_worker(&shared, 0, ws, &spec, &mut sense)));
-            self.inline_sense = sense;
-            let (event_max, stopped) = match outcome {
-                Ok(r) => r,
-                Err(_) => {
-                    // Same contract as the threaded path: the run fails
-                    // with WorkerPanicked and the executor stays poisoned.
-                    shared.panicked.store(true, Ordering::SeqCst);
-                    return Err(EngineError::WorkerPanicked);
-                }
-            };
-            // SAFETY: the inline path runs on this thread only; no worker
-            // thread ever touches the cells of a single-worker pool.
-            if let Some(e) = unsafe { shared.errors[0].get() }.take() {
-                return Err(e);
-            }
-            if !stopped && limit < SimTime::MAX {
-                self.now = limit.max(event_max);
+        let ex = Exchange {
+            nworkers: nw,
+            lookahead_ps: self.lookahead.as_picos(),
+            directory: &self.directory,
+            part_worker: &self.part_worker,
+            start_now,
+            exclusive_end: if limit == SimTime::MAX {
+                u64::MAX
             } else {
-                self.now = event_max.max(start_now);
-            }
-            return Ok(RunStats { events: self.events_processed(), final_time: self.now, stopped });
-        }
+                limit.as_picos().saturating_add(1)
+            },
+            first_run: !self.started,
+            barrier: SenseBarrier::new(nw),
+            mins: (0..2 * nw).map(|_| AtomicU64::new(u64::MAX)).collect(),
+            flags: (0..2 * nw).map(|_| AtomicU64::new(0)).collect(),
+            lanes: (0..2 * nw * nw).map(|_| Lane::new()).collect(),
+        };
+        self.started = true;
 
-        // Loan the worker states to the pool and publish the job.
-        // SAFETY: no job is in flight (the previous one completed with
-        // `done == nworkers` observed under the job mutex), so the
-        // coordinator owns every handoff cell until the epoch bump below.
-        // The placeholder left behind allocates nothing.
-        for (i, ws) in self.workers.iter_mut().enumerate() {
-            let state = std::mem::replace(ws, WorkerState::new(0));
-            unsafe { *shared.slots[i].get() = Some(state) };
-        }
-        {
-            let mut job = shared.job.lock().expect("pool job mutex");
-            job.spec = JobSpec { start_now, exclusive_end, first_run };
-            job.done = 0;
-            job.epoch += 1;
-        }
-        shared.job_cv.notify_all();
+        // Worker 0 runs on this thread; the scope joins the others before
+        // it returns, so every worker state is back in place afterwards.
+        let (first, rest) = self.workers.split_first_mut().expect("at least one worker");
+        let outcomes: Vec<std::thread::Result<WorkerOutcome>> = std::thread::scope(|s| {
+            let ex = &ex;
+            let handles: Vec<_> = rest
+                .iter_mut()
+                .enumerate()
+                .map(|(i, ws)| {
+                    std::thread::Builder::new()
+                        .name(format!("diablo-wkr-{}", i + 1))
+                        .spawn_scoped(s, move || run_caught(ex, i + 1, ws))
+                        .unwrap_or_else(|e| {
+                            // Release the workers already started, or the
+                            // scope would wait on them forever.
+                            ex.barrier.poison();
+                            panic!("cannot start worker thread: {e}")
+                        })
+                })
+                .collect();
+            let mut outcomes = vec![run_caught(ex, 0, first)];
+            outcomes.extend(handles.into_iter().map(|h| h.join().and_then(|r| r)));
+            outcomes
+        });
 
-        // Wait for every worker to hand its state back.
-        {
-            let mut job = shared.job.lock().expect("pool job mutex");
-            while job.done < nw {
-                job = shared.done_cv.wait(job).expect("pool done condvar");
-            }
-        }
-        // SAFETY (the three loops below): `done == nworkers` was observed
-        // under the job mutex, so every worker's writes to its cells
-        // happen-before these reads and ownership is back with the
-        // coordinator.
-        for (i, ws) in self.workers.iter_mut().enumerate() {
-            *ws = unsafe { shared.slots[i].get() }.take().expect("worker returned its state");
-        }
-
-        if shared.panicked.load(Ordering::SeqCst) {
+        if outcomes.iter().any(Result::is_err) {
+            self.poisoned = true;
             return Err(EngineError::WorkerPanicked);
         }
-        for err_slot in shared.errors.iter() {
-            if let Some(e) = unsafe { err_slot.get() }.take() {
+        let mut stopped = false;
+        let mut event_max = start_now;
+        for (t, s, err) in outcomes.into_iter().flatten() {
+            if let Some(e) = err {
                 return Err(e);
             }
+            stopped |= s;
+            event_max = event_max.max(t);
         }
-
-        let results: Vec<(SimTime, bool)> =
-            shared.results.iter().map(|r| unsafe { *r.get() }).collect();
-        let stopped = results.iter().any(|&(_, s)| s);
-        let event_max = results.iter().map(|&(t, _)| t).max().unwrap_or(start_now);
         if !stopped && limit < SimTime::MAX {
             self.now = limit.max(event_max);
         } else {
-            self.now = event_max.max(start_now);
+            self.now = event_max;
         }
         Ok(RunStats { events: self.events_processed(), final_time: self.now, stopped })
-    }
-
-    /// Component directory lookup that works both before the pool exists
-    /// (directory owned locally) and after (directory owned by the pool).
-    fn directory(&self) -> &[(u32, u32)] {
-        match &self.pool {
-            Some(pool) => &pool.shared.directory,
-            None => &self.directory,
-        }
     }
 }
 
@@ -1310,7 +1024,7 @@ impl<M: Snap + Send + 'static> ParallelSimulation<M> {
     /// provably empty at every `run_until` boundary (each round drains the
     /// previous round's flush before the break decision), so worker queues
     /// hold the complete pending-event set. Scheduling diagnostics
-    /// (barrier waits, lane occupancy, batching) are deliberately not
+    /// (barrier waits, lane traffic) are deliberately not
     /// saved — they describe the host, not the model.
     pub fn save_state(&mut self, w: &mut SnapWriter) {
         self.now.save(w);
@@ -1321,15 +1035,15 @@ impl<M: Snap + Send + 'static> ParallelSimulation<M> {
         false.save(w);
         self.external_seq.save(w);
         self.events_processed().save(w);
-        let directory: Vec<(u32, u32)> = self.directory().to_vec();
+        let directory = &self.directory;
         let mut seqs = Vec::with_capacity(directory.len());
-        for &(p, f) in &directory {
+        for &(p, f) in directory {
             let wk = self.part_worker[p as usize] as usize;
             seqs.push(self.workers[wk].seqs[f as usize]);
         }
         seqs.save(w);
         w.put_len(directory.len());
-        for &(p, f) in &directory {
+        for &(p, f) in directory {
             let wk = self.part_worker[p as usize] as usize;
             match self.workers[wk].comps[f as usize].persist() {
                 Some(pers) => {
@@ -1376,7 +1090,7 @@ impl<M: Snap + Send + 'static> ParallelSimulation<M> {
         let _serial_stop = bool::load(r)?;
         self.external_seq = Snap::load(r)?;
         let events_total = u64::load(r)?;
-        let directory: Vec<(u32, u32)> = self.directory().to_vec();
+        let directory = &self.directory;
         let seqs: Vec<u64> = Snap::load(r)?;
         if seqs.len() != directory.len() {
             return Err(SnapError::Malformed(format!(
@@ -1479,11 +1193,8 @@ impl<M: Send + 'static> ComponentHost<M> for ParallelSimulation<M> {
 
     fn inject(&mut self, at: SimTime, target: ComponentId, kind: EventKind<M>) {
         assert!(at >= self.now, "external event scheduled in the past");
-        let (p, _) = {
-            let directory = self.directory();
-            assert!(target.index() < directory.len(), "unknown component {target}");
-            directory[target.index()]
-        };
+        assert!(target.index() < self.directory.len(), "unknown component {target}");
+        let (p, _) = self.directory[target.index()];
         let key = EventKey {
             time: at,
             target,
@@ -1821,18 +1532,51 @@ mod tests {
     }
 
     #[test]
-    fn component_panic_poisons_the_pool_instead_of_deadlocking() {
+    fn component_panic_poisons_the_executor_instead_of_deadlocking() {
         let prev_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         // Two workers so the surviving worker really waits on the barrier.
-        let mut sim = ParallelSimulation::<u64>::with_workers(2, 2, SimDuration::from_micros(1));
-        sim.add_in_partition(0, Box::new(Bomb { fuse: 3 }));
-        sim.add_in_partition(1, Box::new(chatter(2_000, 100)));
-        let err = sim.run().unwrap_err();
+        // Partition 0 runs on the calling thread, partition 1 on a spawned
+        // one; the bomb goes off on each in turn.
+        let mut results = Vec::new();
+        for bomb_part in [0usize, 1] {
+            let mut sim =
+                ParallelSimulation::<u64>::with_workers(2, 2, SimDuration::from_micros(1));
+            for part in 0..2 {
+                if part == bomb_part {
+                    sim.add_in_partition(part, Box::new(Bomb { fuse: 3 }));
+                } else {
+                    sim.add_in_partition(part, Box::new(chatter(2_000, 100)));
+                }
+            }
+            let err = sim.run().unwrap_err();
+            // The executor stays poisoned: later runs fail fast, not hang.
+            let err2 = sim.run_until(SimTime::from_millis(1)).unwrap_err();
+            results.push((bomb_part, err, err2));
+        }
         std::panic::set_hook(prev_hook);
-        assert!(matches!(err, EngineError::WorkerPanicked), "got {err:?}");
-        // The pool stays poisoned: later runs fail fast rather than hang.
-        let err2 = sim.run_until(SimTime::from_millis(1)).unwrap_err();
-        assert!(matches!(err2, EngineError::WorkerPanicked), "got {err2:?}");
+        for (bomb_part, err, err2) in results {
+            assert!(matches!(err, EngineError::WorkerPanicked), "bomb on {bomb_part}: got {err:?}");
+            assert!(
+                matches!(err2, EngineError::WorkerPanicked),
+                "bomb on {bomb_part}: got {err2:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn too_fast_link_from_a_spawned_worker_is_an_error() {
+        // The sender lives in partition 1, which runs on a spawned thread;
+        // its error must still reach the caller.
+        let mut sim = ParallelSimulation::<u64>::with_workers(2, 2, SimDuration::from_micros(1));
+        let a = sim.add_in_partition(0, Box::new(chatter(10, 0)));
+        let b = sim.add_in_partition(1, Box::new(chatter(10, 1)));
+        sim.component_mut::<Chatter>(b).unwrap().peer = Some(a);
+        let err = sim.run().unwrap_err();
+        assert!(
+            matches!(err, EngineError::CrossPartitionTooSoon { source, target, .. }
+                if source == b && target == a),
+            "got {err:?}"
+        );
     }
 }

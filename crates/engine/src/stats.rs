@@ -433,18 +433,10 @@ pub struct WorkerExec {
     pub partitions: usize,
     /// Barrier rounds completed.
     pub rounds: u64,
-    /// Rounds in which at least one event was dispatched.
-    pub busy_rounds: u64,
     /// Wall-clock nanoseconds spent waiting at the barrier.
     pub barrier_wait_ns: u64,
     /// Events received through cross-worker lanes.
     pub lane_events: u64,
-    /// Largest number of lane events drained in a single round.
-    pub lane_peak: u64,
-    /// Same-component dispatch batches executed: the hot loop resolves the
-    /// target component once per batch, so `events / dispatch_batches` is
-    /// the mean batch length (1.0 means batching never engaged).
-    pub dispatch_batches: u64,
 }
 
 /// Execution statistics for a parallel run: synchronization cadence, lane
@@ -457,8 +449,8 @@ pub struct WorkerExec {
 pub struct ExecReport {
     /// Cross-partition lookahead (the synchronization quantum), picoseconds.
     pub lookahead_ps: u64,
-    /// Worker threads *requested* (explicitly or from the environment)
-    /// before the clamp to the partition count; compare with
+    /// Worker threads *requested* (explicitly or from the host's available
+    /// parallelism) before the clamp to the partition count; compare with
     /// `workers.len()` to spot a silently reduced effective count.
     pub workers_requested: usize,
     /// One entry per worker thread.
@@ -494,9 +486,11 @@ impl ExecReport {
     pub fn lane_events(&self) -> u64 {
         self.workers.iter().map(|w| w.lane_events).sum()
     }
-    /// Total same-component dispatch batches across all workers.
+    /// Dispatch batches: the executor dispatches one event at a time, so
+    /// this equals [`ExecReport::events`]. Kept because the benchmark
+    /// harness still reports `engine.events_per_batch` from it.
     pub fn dispatch_batches(&self) -> u64 {
-        self.workers.iter().map(|w| w.dispatch_batches).sum()
+        self.events()
     }
 }
 

@@ -1,6 +1,6 @@
-//! The parallel executor's worker pool is persistent: repeated `run_until`
-//! calls must reuse the same threads and produce exactly the state a single
-//! long run — or the serial executor — would.
+//! Repeated `run_until` calls on the parallel executor start fresh worker
+//! threads each time, and must produce exactly the state a single long run
+//! — or the serial executor — would.
 
 use diablo_engine::parallel::{ComponentHost, ParallelSimulation};
 use diablo_engine::prelude::*;
@@ -90,15 +90,12 @@ fn split_runs_match_one_long_run_and_serial() {
     let mid = SimTime::from_micros(7);
 
     // (a) Parallel (4 partitions multiplexed onto 2 pinned workers), two
-    // consecutive run_until calls over the same pool.
+    // consecutive run_until calls on the same executor.
     let mut split = ParallelSimulation::<u64>::with_workers(4, 2, quantum);
     let ids = build(&mut split, 4, 8);
     wire(&mut |i, peers| split.component_mut::<Gossip>(ids[i]).unwrap().peers = peers, &ids);
-    assert_eq!(split.workers_spawned(), 0, "pool must be lazy");
     split.run_until(mid).unwrap();
-    assert_eq!(split.workers_spawned(), 2, "one thread per worker, not per partition");
     let stats_split = split.run_until(end).unwrap();
-    assert_eq!(split.workers_spawned(), 2, "second run must reuse the pool");
 
     // (b) Parallel, one long run, different worker count.
     let mut long = ParallelSimulation::<u64>::with_workers(4, 4, quantum);
@@ -163,16 +160,27 @@ fn worker_count_change_rescrapes_identically() {
     }
 }
 
+/// Twenty short `run_until` steps at 3 workers, each starting its own
+/// threads, must scrape the same bytes as one run to the same end.
 #[test]
-fn many_short_runs_spawn_no_extra_workers() {
-    let mut sim = ParallelSimulation::<u64>::with_workers(3, 3, SimDuration::from_micros(1));
-    let ids = build(&mut sim, 3, 6);
-    wire(&mut |i, peers| sim.component_mut::<Gossip>(ids[i]).unwrap().peers = peers, &ids);
+fn many_short_runs_match_one_long_run() {
+    let quantum = SimDuration::from_micros(1);
+    let end = SimTime::from_micros(40);
+    let fresh = || {
+        let mut sim = ParallelSimulation::<u64>::with_workers(3, 3, quantum);
+        let ids = build(&mut sim, 3, 6);
+        wire(&mut |i, peers| sim.component_mut::<Gossip>(ids[i]).unwrap().peers = peers, &ids);
+        (sim, ids)
+    };
+    let (mut stepped, ids) = fresh();
     for step in 1..=20u64 {
-        sim.run_until(SimTime::from_micros(step * 2)).unwrap();
-        assert_eq!(sim.workers_spawned(), 3, "run {step} spawned extra workers");
+        stepped.run_until(SimTime::from_micros(step * 2)).unwrap();
     }
+    let (mut long, _) = fresh();
+    long.run_until(end).unwrap();
+    assert_eq!(stepped.events_processed(), long.events_processed());
+    assert_eq!(scrape(&stepped), scrape(&long), "stepped runs diverged from one long run");
     // Finish and sanity-check the mesh actually communicated.
-    sim.run().unwrap();
-    assert!(sim.component::<Gossip>(ids[0]).unwrap().log.len() >= 50);
+    stepped.run().unwrap();
+    assert!(stepped.component::<Gossip>(ids[0]).unwrap().log.len() >= 50);
 }
