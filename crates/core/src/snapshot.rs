@@ -45,7 +45,7 @@ pub const SNAP_MAGIC: [u8; 8] = *b"DIABSNAP";
 
 /// Format version this build writes and reads. Bump on any layout
 /// change; restore rejects other versions with [`SnapError::Version`].
-pub const SNAP_VERSION: u32 = 2;
+pub const SNAP_VERSION: u32 = 3;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 

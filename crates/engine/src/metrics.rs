@@ -119,17 +119,19 @@ pub struct HistogramSummary {
 }
 
 impl HistogramSummary {
-    /// Summarizes `h`.
+    /// Summarizes `h`, finding the four quantiles in one walk over its
+    /// occupied buckets.
     pub fn of(h: &Histogram) -> Self {
+        let [p50, p90, p99, p999] = h.quantiles([0.5, 0.9, 0.99, 0.999]);
         HistogramSummary {
             count: h.count(),
             min: h.min(),
             max: h.max(),
             mean: h.mean(),
-            p50: h.quantile(0.5),
-            p90: h.quantile(0.9),
-            p99: h.quantile(0.99),
-            p999: h.quantile(0.999),
+            p50,
+            p90,
+            p99,
+            p999,
         }
     }
 }
@@ -650,6 +652,22 @@ mod tests {
             lat.record(i * 10);
         }
         Dev { frames, depth: 2.5, lat }
+    }
+
+    #[test]
+    fn summary_quantiles_match_single_quantile_walks() {
+        let mut h = Histogram::new();
+        for i in 0..5_000u64 {
+            h.record(i * i % 7_919 + (i % 13) * 1_000_000);
+        }
+        h.record_n(250_000_000, 9); // a retry-scale tail
+        for h in [Histogram::new(), h] {
+            let s = HistogramSummary::of(&h);
+            assert_eq!(s.p50, h.quantile(0.5));
+            assert_eq!(s.p90, h.quantile(0.9));
+            assert_eq!(s.p99, h.quantile(0.99));
+            assert_eq!(s.p999, h.quantile(0.999));
+        }
     }
 
     #[test]

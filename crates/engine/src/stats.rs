@@ -5,9 +5,18 @@
 //! orders of magnitude (10 µs … 1 s tails). The [`Histogram`] here uses
 //! HDR-style log-linear buckets: values are grouped into power-of-two
 //! ranges, each split into `2^p` linear sub-buckets, giving a bounded
-//! relative error of `2^-p` at any magnitude with a few KiB of memory.
+//! relative error of `2^-p` at any magnitude. Only occupied buckets are
+//! stored, as a sorted list of `(bucket index, count)` pairs, so a
+//! histogram costs 16 bytes per distinct bucket it holds rather than one
+//! slot per bucket up to its largest sample: a client that records 15
+//! latencies near 100 µs holds ~15 entries, not ~1,300 zeros. Snapshot
+//! load rejects a list that is unsorted, holds a zero count, strays
+//! outside the precision's index range, or disagrees with the count.
 
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use core::cmp::Ordering;
 use core::fmt;
+use core::ops::RangeInclusive;
 
 /// A monotonically increasing event counter.
 ///
@@ -52,11 +61,15 @@ impl fmt::Display for Counter {
 /// Default precision: 128 linear sub-buckets per octave (≤0.79% error).
 const DEFAULT_PRECISION_BITS: u32 = 7;
 
+/// Precisions a histogram may have.
+const PRECISION_BITS: RangeInclusive<u32> = 1..=14;
+
 /// HDR-style log-linear histogram of `u64` samples.
 ///
 /// Records are exact in count and bounded in value error by `2^-p` where
 /// `p` is the precision (default 7, ≤0.79%). Suitable for latencies in
-/// nanoseconds across the full `u64` range.
+/// nanoseconds across the full `u64` range. Recording a sample is a binary
+/// search over the occupied buckets plus, for a new bucket, an insert.
 ///
 /// # Examples
 ///
@@ -73,7 +86,9 @@ const DEFAULT_PRECISION_BITS: u32 = 7;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     precision_bits: u32,
-    buckets: Vec<u64>,
+    /// Occupied buckets as `(index, count)`, sorted by index, no zero
+    /// counts. Counts saturate, so their saturating sum equals `count`.
+    buckets: Vec<(u32, u64)>,
     count: u64,
     sum: u128,
     min: u64,
@@ -98,28 +113,34 @@ impl Histogram {
     ///
     /// Panics unless `1 <= precision_bits <= 14`.
     pub fn with_precision(precision_bits: u32) -> Self {
-        assert!((1..=14).contains(&precision_bits), "precision_bits out of range");
+        assert!(PRECISION_BITS.contains(&precision_bits), "precision_bits out of range");
         Histogram { precision_bits, buckets: Vec::new(), count: 0, sum: 0, min: u64::MAX, max: 0 }
     }
 
-    fn index_of(&self, value: u64) -> usize {
+    fn index_of(&self, value: u64) -> u32 {
         let p = self.precision_bits;
         let sub = 1u64 << p;
         if value < sub {
-            value as usize
+            value as u32
         } else {
             let e = 63 - value.leading_zeros(); // floor(log2(value)) >= p
             let shift = e - p;
             let sub_idx = (value >> shift) - sub; // in [0, 2^p)
-            (((e - p + 1) as u64 * sub) + sub_idx) as usize
+            ((e - p + 1) as u64 * sub + sub_idx) as u32
         }
     }
 
+    /// One past the largest bucket index at `precision_bits` (the index of
+    /// `u64::MAX` plus one): 64 - p octaves above the `2^p` exact buckets.
+    fn index_limit(precision_bits: u32) -> u32 {
+        (65 - precision_bits) << precision_bits
+    }
+
     /// Upper bound of the bucket at `idx` (the largest value mapping there).
-    fn bucket_upper(&self, idx: usize) -> u64 {
+    fn bucket_upper(&self, idx: u32) -> u64 {
         let p = self.precision_bits;
         let sub = 1u64 << p;
-        let idx = idx as u64;
+        let idx = u64::from(idx);
         if idx < sub {
             idx
         } else {
@@ -127,7 +148,8 @@ impl Histogram {
             let sub_idx = idx % sub;
             let base = (sub + sub_idx) << octave;
             let width = 1u64 << octave;
-            base + width - 1
+            // `width - 1` first: the top bucket ends exactly at u64::MAX.
+            base + (width - 1)
         }
     }
 
@@ -143,10 +165,10 @@ impl Histogram {
             return;
         }
         let idx = self.index_of(value);
-        if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, 0);
+        match self.buckets.binary_search_by_key(&idx, |&(i, _)| i) {
+            Ok(pos) => self.buckets[pos].1 = self.buckets[pos].1.saturating_add(n),
+            Err(pos) => self.buckets.insert(pos, (idx, n)),
         }
-        self.buckets[idx] = self.buckets[idx].saturating_add(n);
         self.count = self.count.saturating_add(n);
         self.sum = self.sum.saturating_add(value as u128 * n as u128);
         self.min = self.min.min(value);
@@ -194,19 +216,39 @@ impl Histogram {
     ///
     /// Panics if `q` is not in `[0, 1]`.
     pub fn quantile(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.count == 0 {
-            return 0;
+        self.quantiles([q])[0]
+    }
+
+    /// [`Histogram::quantile`] at each of `qs` in one walk over the
+    /// occupied buckets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any `q` is not in `[0, 1]` or `qs` is not nondecreasing.
+    pub fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [u64; N] {
+        for q in qs {
+            assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
         }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        assert!(qs.windows(2).all(|w| w[0] <= w[1]), "quantiles must be nondecreasing: {qs:?}");
+        let mut out = [0; N];
+        if self.count == 0 {
+            return out;
+        }
+        let ranks = qs.map(|q| ((q * self.count as f64).ceil() as u64).clamp(1, self.count));
+        let mut next = 0;
         let mut seen = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return self.bucket_upper(idx).min(self.max).max(self.min);
+        for &(idx, c) in &self.buckets {
+            seen = seen.saturating_add(c);
+            while next < N && seen >= ranks[next] {
+                out[next] = self.bucket_upper(idx).min(self.max).max(self.min);
+                next += 1;
+            }
+            if next == N {
+                break;
             }
         }
-        self.max
+        out[next..].fill(self.max);
+        out
     }
 
     /// Merges another histogram into this one.
@@ -216,12 +258,29 @@ impl Histogram {
     /// Panics if precisions differ.
     pub fn merge(&mut self, other: &Histogram) {
         assert_eq!(self.precision_bits, other.precision_bits, "precision mismatch");
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
+        let (a, b) = (&self.buckets, &other.buckets);
+        let mut merged = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => {
+                    merged.push(a[i]);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    merged.push(b[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    merged.push((a[i].0, a[i].1.saturating_add(b[j].1)));
+                    i += 1;
+                    j += 1;
+                }
+            }
         }
-        for (dst, &src) in self.buckets.iter_mut().zip(&other.buckets) {
-            *dst = dst.saturating_add(src);
-        }
+        merged.extend_from_slice(&a[i..]);
+        merged.extend_from_slice(&b[j..]);
+        self.buckets = merged;
         self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
@@ -236,11 +295,8 @@ impl Histogram {
             return out;
         }
         let mut seen = 0u64;
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            seen += c;
+        for &(idx, c) in &self.buckets {
+            seen = seen.saturating_add(c);
             out.push((self.bucket_upper(idx), seen as f64 / self.count as f64));
         }
         out
@@ -261,10 +317,7 @@ impl Histogram {
         if self.count == 0 {
             return out;
         }
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
+        for &(idx, c) in &self.buckets {
             let v = self.bucket_upper(idx);
             // Find the first edge >= v (values below lo clamp to bin 0;
             // above hi clamp to the last bin).
@@ -494,7 +547,57 @@ impl ExecReport {
     }
 }
 
-crate::impl_snap_struct!(Histogram { precision_bits, buckets, count, sum, min, max });
+/// Written as the precision, the occupied-bucket list, then count, sum,
+/// min and max. Load checks every invariant the recording path keeps, so
+/// a corrupt list fails instead of restoring with different quantiles.
+impl Snap for Histogram {
+    fn save(&self, w: &mut SnapWriter) {
+        self.precision_bits.save(w);
+        self.buckets.save(w);
+        self.count.save(w);
+        self.sum.save(w);
+        self.min.save(w);
+        self.max.save(w);
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let bad = |msg: String| Err(SnapError::Malformed(format!("histogram: {msg}")));
+        let precision_bits = u32::load(r)?;
+        if !PRECISION_BITS.contains(&precision_bits) {
+            return bad(format!("precision_bits {precision_bits} outside 1..=14"));
+        }
+        let buckets = Vec::<(u32, u64)>::load(r)?;
+        let limit = Histogram::index_limit(precision_bits);
+        let mut total = 0u64;
+        for (k, &(idx, c)) in buckets.iter().enumerate() {
+            if k > 0 && buckets[k - 1].0 >= idx {
+                return bad(format!("bucket index {idx} unsorted or repeated"));
+            }
+            if idx >= limit {
+                return bad(format!(
+                    "bucket index {idx} beyond {limit} at precision {precision_bits}"
+                ));
+            }
+            if c == 0 {
+                return bad(format!("bucket {idx} has a zero count"));
+            }
+            total = total.saturating_add(c);
+        }
+        let h = Histogram {
+            precision_bits,
+            buckets,
+            count: u64::load(r)?,
+            sum: u128::load(r)?,
+            min: u64::load(r)?,
+            max: u64::load(r)?,
+        };
+        if total != h.count {
+            return bad(format!("bucket counts sum to {total}, count is {}", h.count));
+        }
+        Ok(h)
+    }
+}
+
 crate::impl_snap_struct!(Series { values });
 
 #[cfg(test)]
@@ -660,6 +763,85 @@ mod tests {
         assert_eq!(h.quantile(0.99), 0);
         assert_eq!(h.mean(), 0.0);
         assert!(h.cdf().is_empty());
+    }
+
+    /// Snapshot bytes of a histogram with the given precision, bucket list
+    /// and count, in the layout `save` writes, so each test below can
+    /// break exactly one invariant.
+    fn saved_with(precision_bits: u32, buckets: &[(u32, u64)], count: u64) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        precision_bits.save(&mut w);
+        buckets.to_vec().save(&mut w);
+        count.save(&mut w);
+        0u128.save(&mut w); // sum
+        0u64.save(&mut w); // min
+        u64::MAX.save(&mut w); // max
+        w.into_bytes()
+    }
+
+    fn load(bytes: &[u8]) -> Result<Histogram, SnapError> {
+        Histogram::load(&mut SnapReader::new(bytes))
+    }
+
+    fn assert_malformed(bytes: &[u8], what: &str) {
+        match load(bytes) {
+            Err(SnapError::Malformed(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("expected a malformed-histogram error naming {what:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn histogram_snapshot_round_trips_sparsely() {
+        let mut h = Histogram::new();
+        h.record(0);
+        h.record(100_000);
+        h.record_n(250_000_000, 3);
+        h.record(u64::MAX);
+        let mut w = SnapWriter::new();
+        h.save(&mut w);
+        let bytes = w.into_bytes();
+        // precision + length + 4 entries x 12 bytes + count/sum/min/max.
+        assert_eq!(bytes.len(), 4 + 8 + 4 * 12 + 8 + 16 + 8 + 8);
+        assert_eq!(load(&bytes), Ok(h));
+        assert_eq!(load(&saved_with(7, &[(3, 2), (7423, 1)], 3)).map(|h| h.count()), Ok(3));
+    }
+
+    #[test]
+    fn histogram_load_rejects_unsorted_buckets() {
+        assert_malformed(&saved_with(7, &[(9, 1), (3, 1)], 2), "unsorted");
+    }
+
+    #[test]
+    fn histogram_load_rejects_repeated_buckets() {
+        assert_malformed(&saved_with(7, &[(3, 1), (3, 1)], 2), "repeated");
+    }
+
+    #[test]
+    fn histogram_load_rejects_zero_counts() {
+        assert_malformed(&saved_with(7, &[(3, 1), (5, 0)], 1), "zero count");
+    }
+
+    #[test]
+    fn histogram_load_rejects_indices_beyond_the_precision() {
+        // 7424 = (65 - 7) << 7 is one past the bucket of u64::MAX.
+        assert_malformed(&saved_with(7, &[(7424, 1)], 1), "beyond");
+        assert_malformed(&saved_with(1, &[(128, 1)], 1), "beyond");
+    }
+
+    #[test]
+    fn histogram_load_rejects_out_of_range_precision() {
+        assert_malformed(&saved_with(0, &[], 0), "precision_bits 0");
+        assert_malformed(&saved_with(15, &[], 0), "precision_bits 15");
+    }
+
+    #[test]
+    fn histogram_load_rejects_counts_that_disagree() {
+        assert_malformed(&saved_with(7, &[(3, 2), (5, 1)], 4), "sum to 3");
+        assert_malformed(&saved_with(7, &[(3, 2)], 0), "sum to 2");
+        // Saturated buckets sum (saturating) to a saturated count...
+        assert!(load(&saved_with(7, &[(3, u64::MAX), (5, 1)], u64::MAX)).is_ok());
+        // ...but not to anything less.
+        assert_malformed(&saved_with(7, &[(3, u64::MAX), (5, 1)], u64::MAX - 1), "sum to");
     }
 
     #[test]

@@ -128,17 +128,17 @@ fn check_payload<E: Experiment>(name: &str, exp: &E, at_us: u64, pinned: u64) {
 
 #[test]
 fn snapshot_payloads_match_their_pins() {
-    check_payload("memcached udp", &McExperimentConfig::mini(2, 10), 300, 0x0ae2_d873_9418_f843);
+    check_payload("memcached udp", &McExperimentConfig::mini(2, 10), 300, 0xb9dd_bfff_4695_2650);
 
     let mut tcp = McExperimentConfig::mini(2, 10);
     tcp.proto = Proto::Tcp;
-    check_payload("memcached tcp", &tcp, 300, 0xe2ba_0e66_7530_c065);
+    check_payload("memcached tcp", &tcp, 300, 0xb21a_26b5_f12c_e6a4);
 
     let mut ol = McExperimentConfig::mini(2, 0);
     ol.arrival = Some(ArrivalSpec::poisson(2_000.0, SimDuration::from_millis(30)).unwrap());
     ol.slo = Some(SimDuration::from_millis(1));
     ol.control = Some(ControlConfig::default());
-    check_payload("memcached open loop + control plane", &ol, 10_000, 0xc7a4_3af8_8d34_4dae);
+    check_payload("memcached open loop + control plane", &ol, 10_000, 0x4ce8_8b11_2948_b683);
 
     let mut incast = IncastConfig::fig6a(4);
     incast.iterations = 2;
@@ -154,5 +154,5 @@ fn snapshot_payloads_match_their_pins() {
     let mut pa = PaExperimentConfig::new(2, 20);
     pa.faults =
         Some(FaultPlan::parse("1ms link-down node1\n3ms link-up node1").expect("valid plan"));
-    check_payload("partition-aggregate link flap", &pa, 2_000, 0x0479_476b_f03d_4449);
+    check_payload("partition-aggregate link flap", &pa, 2_000, 0x32ac_705d_d11f_7202);
 }
